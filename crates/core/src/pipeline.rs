@@ -244,7 +244,7 @@ pub fn compile_with_obs(
     opts: &PipelineOptions,
     obs: Obs,
 ) -> Result<CompiledModule, CompileError> {
-    let ops_in = module_ops(module);
+    let ops_in = module_ops(&obs, module);
     {
         let mut s = obs.span("pass:input-verify");
         s.note("ops_before", ops_in);
@@ -258,12 +258,12 @@ pub fn compile_with_obs(
         let mut s = obs.span("pass:bufferize");
         s.note("ops_before", ops_in);
         let bufferized = bufferize_module(module)?;
-        s.note("ops_after", module_ops(&bufferized));
+        s.note("ops_after", module_ops(&obs, &bufferized));
         bufferized
     };
     let tiled = {
         let mut s = obs.span("pass:tile");
-        s.note("ops_before", module_ops(&bufferized));
+        s.note("ops_before", module_ops(&obs, &bufferized));
         s.note("fuse", i64::from(opts.fuse));
         let tiled = tile_module_traced(
             &bufferized,
@@ -275,31 +275,31 @@ pub fn compile_with_obs(
             },
             &obs,
         )?;
-        s.note("ops_after", module_ops(&tiled));
+        s.note("ops_after", module_ops(&obs, &tiled));
         tiled
     };
     let (mut lowered, stats) = {
         let mut s = obs.span("pass:lower");
-        s.note("ops_before", module_ops(&tiled));
+        s.note("ops_before", module_ops(&obs, &tiled));
         let (lowered, stats) = lower_module(
             &tiled,
             &LowerOptions {
                 vectorize: opts.vectorize,
             },
         )?;
-        s.note("ops_after", module_ops(&lowered));
+        s.note("ops_after", module_ops(&obs, &lowered));
         s.note("vectorized_ops", stats.vectorized as i64);
         s.note("scalar_ops", stats.scalar as i64);
         (lowered, stats)
     };
     {
         let mut s = obs.span("pass:canonicalize");
-        s.note("ops_before", module_ops(&lowered));
+        s.note("ops_before", module_ops(&obs, &lowered));
         CanonicalizePass.run(&mut lowered)?;
-        s.note("ops_after", module_ops(&lowered));
+        s.note("ops_after", module_ops(&obs, &lowered));
     }
     {
-        let ops = module_ops(&lowered);
+        let ops = module_ops(&obs, &lowered);
         let mut s = obs.span("pass:final-verify");
         s.note("ops_before", ops);
         s.note("ops_after", ops);
@@ -316,9 +316,19 @@ pub fn compile_with_obs(
     })
 }
 
-/// Total op count across all functions (the per-pass IR size metric).
-fn module_ops(module: &Module) -> i64 {
-    module.funcs().iter().map(|f| f.body.num_ops() as i64).sum()
+/// Reachable op count across all functions (the per-pass IR size
+/// metric). Arena slots of erased ops do not count, so a pass that only
+/// erases shows up as `ops_after < ops_before`. Not walked (0) when `obs`
+/// is off and the span notes it feeds are discarded.
+fn module_ops(obs: &Obs, module: &Module) -> i64 {
+    if !obs.enabled() {
+        return 0;
+    }
+    let mut ops = 0;
+    for f in module.funcs() {
+        f.body.walk(|_| ops += 1);
+    }
+    ops
 }
 
 /// Produces the *reference* executable form: bufferized only, with the
@@ -423,7 +433,9 @@ mod tests {
     #[test]
     fn every_pass_is_spanned_with_op_count_deltas() {
         let obs = Obs::new(ObsLevel::Summary);
-        let opts = PipelineOptions::new(vec![8, 8], vec![4, 4]).fuse(true);
+        let opts = PipelineOptions::new(vec![8, 8], vec![4, 4])
+            .fuse(true)
+            .vectorize(Some(4));
         compile_with_obs(&kernels::gauss_seidel_5pt_module(), &opts, obs.clone()).unwrap();
         let rec = obs.snapshot();
         let pass_names: Vec<&str> = rec
@@ -456,6 +468,14 @@ mod tests {
         assert_eq!(note("pass:lower", "ops_before"), Some(tile_out));
         assert!(note("pass:lower", "ops_after").unwrap() > tile_out);
         assert_eq!(note("pass:tile", "fuse"), Some(1));
+        // Counts are of reachable ops, so canonicalization (which only
+        // erases) shrinks the module, to what the final verify sees.
+        let canon_in = note("pass:canonicalize", "ops_before").unwrap();
+        let canon_out = note("pass:canonicalize", "ops_after").unwrap();
+        assert_eq!(Some(canon_in), note("pass:lower", "ops_after"));
+        assert!(canon_out < canon_in, "{canon_out} >= {canon_in}");
+        assert_eq!(note("pass:final-verify", "ops_before"), Some(canon_out));
+        assert_eq!(note("pass:final-verify", "ops_after"), Some(canon_out));
         // Transform internals nest under the tile pass.
         let tile_id = rec.spans.iter().find(|s| s.name == "pass:tile").unwrap().id;
         let fusion = rec

@@ -566,7 +566,9 @@ impl BufferView {
     /// check instead of two of each). Partial maxima are kept per
     /// fixed-size chunk and merged at the end, so the reduction tree is
     /// deterministic regardless of how the sweeps that produced `self`
-    /// were scheduled.
+    /// were scheduled. The maximum propagates NaN (unlike `f64::max`): a
+    /// NaN anywhere in `self` or `prev` makes the result NaN, so a
+    /// diverged field can never read as "delta 0".
     ///
     /// # Panics
     /// Panics when `prev.len()` differs from the view's element count.
@@ -587,7 +589,7 @@ impl BufferView {
                 full[d] = idx[d] + self.origin[d];
             }
             let cur = self.load(&full);
-            chunk_max = chunk_max.max((cur - *prev_slot).abs());
+            chunk_max = max_or_nan(chunk_max, (cur - *prev_slot).abs());
             *prev_slot = cur;
             if (flat + 1) % CHUNK == 0 {
                 partials.push(chunk_max);
@@ -602,7 +604,7 @@ impl BufferView {
             }
         }
         partials.push(chunk_max);
-        partials.into_iter().fold(0.0, f64::max)
+        partials.into_iter().fold(0.0, max_or_nan)
     }
 
     /// Maximum absolute elementwise difference against another view of the
@@ -614,6 +616,15 @@ impl BufferView {
             .zip(other.to_vec())
             .map(|(a, b)| (a - b).abs())
             .fold(0.0, f64::max)
+    }
+}
+
+/// `f64::max` that propagates NaN instead of dropping it.
+fn max_or_nan(a: f64, b: f64) -> f64 {
+    if a >= b || a.is_nan() {
+        a
+    } else {
+        b
     }
 }
 
@@ -1185,6 +1196,22 @@ mod tests {
         assert_eq!(b.to_vec(), vec![0.0; 6]);
         assert_eq!(b.dim(0), 2);
         assert_eq!(b.rank(), 2);
+    }
+
+    #[test]
+    fn max_delta_update_keeps_a_nan_through_later_larger_deltas() {
+        // Three chunks of the fold; the NaN sits in the middle one with
+        // larger finite deltas after it, in its chunk and in the next.
+        let b = BufferView::alloc(&[1, 3000]);
+        b.store(&[0, 1500], f64::NAN);
+        b.store(&[0, 1501], 7.0);
+        b.store(&[0, 2999], 9.0);
+        let mut prev = vec![0.0; 3000];
+        assert!(b.max_delta_update(&mut prev).is_nan());
+        assert!(prev[1500].is_nan(), "snapshot refreshed");
+        b.store(&[0, 1500], 1.0);
+        prev.fill(0.0);
+        assert_eq!(b.max_delta_update(&mut prev), 9.0, "finite: plain max");
     }
 
     #[test]

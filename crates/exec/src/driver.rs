@@ -581,7 +581,9 @@ pub fn run_jacobi_sweeps(
 /// stationary). Interpreter-bound modules keep exact per-sweep pacing.
 ///
 /// # Errors
-/// Propagates engine failures.
+/// Propagates engine failures, and reports divergence: a NaN in the
+/// watched buffer (or in its delta, e.g. `inf − inf`) at a convergence
+/// check is an error, never "converged".
 pub fn run_until_converged(
     module: &Module,
     func: &str,
@@ -606,6 +608,11 @@ pub fn run_until_converged(
         // Batch boundary: one fused pass computes the max-norm delta
         // against the last boundary and refreshes the snapshot in place.
         let delta = buffers[watch].max_delta_update(&mut previous);
+        if delta.is_nan() {
+            return Err(ExecError::new(format!(
+                "`{func}` diverged: NaN in the watched buffer after {done} sweeps"
+            )));
+        }
         if delta < tol {
             return Ok(done);
         }
@@ -850,6 +857,31 @@ mod tests {
         // on a multiple of the batch depth (unless capped).
         assert_eq!(sweeps % DEFAULT_SWEEP_BATCH, 0);
         assert!((w.load(&[0, 5, 5]) - 1.0).abs() < 1e-6);
+    }
+
+    #[test]
+    fn nan_field_is_divergence_on_both_engines() {
+        use instencil_core::pipeline::{compile, PipelineOptions};
+        let sor = kernels::sor_module(1.5);
+        let bytecode = compile(&sor, &PipelineOptions::tr2(vec![4, 4], vec![2, 2]))
+            .unwrap()
+            .module;
+        let interp = reference_module(&sor).unwrap(); // structured ops: interpreter-bound
+        let solve = |module: &Module, seed: f64| {
+            let u = BufferView::alloc(&[1, 10, 10]);
+            u.fill(seed);
+            let b = BufferView::alloc(&[1, 10, 10]);
+            b.fill(0.01);
+            run_until_converged(module, "sor", &[u, b], 0, 1e-9, 2_000)
+        };
+        for (engine, module) in [("bytecode", &bytecode), ("interp", &interp)] {
+            let e = solve(module, f64::NAN).expect_err("an all-NaN field must not converge");
+            assert!(e.message.contains("diverged"), "{engine}: {e}");
+        }
+        // A finite solve is untouched: the sweep counts of the commit
+        // before the NaN check.
+        assert_eq!(solve(&bytecode, 0.0).unwrap(), 40);
+        assert_eq!(solve(&interp, 0.0).unwrap(), 32);
     }
 
     #[test]

@@ -215,27 +215,13 @@ impl Body {
         self.blocks[parent.index()].ops.retain(|&o| o != op);
     }
 
-    /// Replaces every use of `from` with `to` across the whole body.
-    pub fn replace_all_uses(&mut self, from: ValueId, to: ValueId) {
-        for op in &mut self.ops {
-            for operand in &mut op.operands {
-                if *operand == from {
-                    *operand = to;
-                }
-            }
-        }
-    }
-
     /// Walks all operations reachable from `region` in pre-order,
     /// depth-first, calling `f` on each op id.
     pub fn walk_region(&self, region: RegionId, f: &mut impl FnMut(OpId)) {
         for &b in &self.regions[region.index()].blocks {
-            // Clone the op list to allow `f` to inspect the body freely.
-            let ops = self.blocks[b.index()].ops.clone();
-            for o in ops {
+            for &o in &self.blocks[b.index()].ops {
                 f(o);
-                let regions = self.ops[o.index()].regions.clone();
-                for r in regions {
+                for &r in &self.ops[o.index()].regions {
                     self.walk_region(r, f);
                 }
             }
@@ -445,24 +431,6 @@ mod tests {
         assert_eq!(count, 4);
         assert_eq!(b.value_type(r), &Type::F64);
         assert_eq!(b.defining_op(r), Some(add));
-    }
-
-    #[test]
-    fn replace_all_uses_rewrites_operands() {
-        let mut b = Body::new();
-        let e = b.entry_block();
-        let c1 = const_op(&mut b, e, 1.0);
-        let c2 = const_op(&mut b, e, 2.0);
-        let add = b.create_op(
-            e,
-            OpCode::AddF,
-            vec![c1, c1],
-            vec![Type::F64],
-            AttrMap::new(),
-            vec![],
-        );
-        b.replace_all_uses(c1, c2);
-        assert_eq!(b.op(add).operands, vec![c2, c2]);
     }
 
     #[test]

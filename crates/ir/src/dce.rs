@@ -1,39 +1,47 @@
 //! Dead code elimination for pure operations.
 
-use std::collections::HashSet;
+use crate::body::{Body, Func};
+use crate::ids::OpId;
+use crate::uses::{run_indexed, UseIndex};
 
-use crate::body::Func;
-use crate::ids::ValueId;
+/// A live pure op none of whose results is used.
+fn removable(body: &Body, uses: &UseIndex, op: OpId) -> bool {
+    let o = body.op(op);
+    !uses.is_dead(op) && o.opcode.is_pure() && o.results.iter().all(|&r| uses.is_unused(r))
+}
 
-/// Erases pure ops whose results are all unused, iterating to fixpoint.
+/// Worklist DCE over an indexed body: seeded once with the unused pure
+/// ops; erasing one releases its operands, and a definition whose last
+/// use that was joins the list.
+pub(crate) fn dce(body: &mut Body, uses: &mut UseIndex) -> usize {
+    let mut work = Vec::new();
+    body.walk(|op| {
+        if removable(body, uses, op) {
+            work.push(op);
+        }
+    });
+    let mut erased = 0;
+    while let Some(op) = work.pop() {
+        // `x + x` releases `x` twice, so its definition can be listed twice.
+        if uses.is_dead(op) {
+            continue;
+        }
+        uses.erase(body, op);
+        erased += 1;
+        let defs = body
+            .op(op)
+            .operands
+            .iter()
+            .filter_map(|&v| body.defining_op(v));
+        work.extend(defs.filter(|&def| removable(body, uses, def)));
+    }
+    erased
+}
+
+/// Erases pure ops whose results are all unused, transitively.
 /// Returns the number of erased operations.
 pub fn dce_func(func: &mut Func) -> usize {
-    let mut total = 0;
-    loop {
-        // Collect all used values (operands anywhere in the body).
-        let mut used: HashSet<ValueId> = HashSet::new();
-        let ops = func.body.all_ops();
-        for &op in &ops {
-            for &v in &func.body.op(op).operands {
-                used.insert(v);
-            }
-        }
-        let mut erased = 0;
-        for &op in &ops {
-            let o = func.body.op(op);
-            if !o.opcode.is_pure() {
-                continue;
-            }
-            if o.results.iter().all(|r| !used.contains(r)) {
-                func.body.erase_op(op);
-                erased += 1;
-            }
-        }
-        total += erased;
-        if erased == 0 {
-            return total;
-        }
-    }
+    run_indexed(func, &[dce])
 }
 
 #[cfg(test)]

@@ -1,14 +1,17 @@
 //! Constant folding and algebraic canonicalization.
 //!
-//! [`fold_func`] repeatedly rewrites pure operations whose operands are
-//! constants into `arith.constant`, and applies identity simplifications
-//! (`x + 0`, `x * 1`, `select true`, ...) until a fixed point is reached.
+//! [`fold_func`] rewrites pure operations whose operands are constants
+//! into `arith.constant`, and applies identity simplifications (`x + 0`,
+//! `x * 1`, `select true`, ...) until a fixed point is reached.
+
+use std::collections::VecDeque;
 
 use crate::attr::{AttrMap, Attribute};
 use crate::body::{Body, Func};
 use crate::ids::{OpId, ValueId};
 use crate::op::OpCode;
 use crate::types::Type;
+use crate::uses::{run_indexed, UseIndex};
 
 /// A scalar compile-time constant.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -37,10 +40,10 @@ fn const_of(body: &Body, v: ValueId) -> Option<Const> {
     }
 }
 
-fn make_constant(body: &mut Body, op_id: OpId, c: Const) {
+fn make_constant(body: &mut Body, uses: &mut UseIndex, op_id: OpId, c: Const) {
+    uses.drop_operands(body, op_id);
     let op = body.op_mut(op_id);
     op.opcode = OpCode::Constant;
-    op.operands.clear();
     op.regions.clear();
     let mut attrs = AttrMap::new();
     attrs.set(
@@ -134,41 +137,83 @@ fn identity(body: &Body, op_id: OpId) -> Option<ValueId> {
 /// Folds constants and applies identities in `func` until fixpoint.
 /// Returns the number of rewrites applied.
 pub fn fold_func(func: &mut Func) -> usize {
-    let mut total = 0;
-    loop {
-        let mut changed = 0;
-        let ops = func.body.all_ops();
-        for op_id in ops {
-            let op = func.body.op(op_id);
-            if !op.opcode.is_pure() || op.opcode == OpCode::Constant {
-                continue;
-            }
-            // Identity simplifications first (do not require all-const).
-            if let Some(repl) = identity(&func.body, op_id) {
-                let result = func.body.op(op_id).result();
-                func.body.replace_all_uses(result, repl);
-                func.body.erase_op(op_id);
-                changed += 1;
-                continue;
-            }
-            let operands: Option<Vec<Const>> = func
-                .body
-                .op(op_id)
-                .operands
-                .iter()
-                .map(|v| const_of(&func.body, *v))
-                .collect();
-            let Some(operands) = operands else { continue };
-            if let Some(result) = eval(&func.body.op(op_id).opcode, &operands) {
-                make_constant(&mut func.body, op_id, result);
-                changed += 1;
-            }
-        }
-        total += changed;
-        if changed == 0 {
-            return total;
+    run_indexed(func, &[fold])
+}
+
+fn foldable(opcode: &OpCode) -> bool {
+    opcode.is_pure() && *opcode != OpCode::Constant
+}
+
+/// The ops waiting to be (re)examined, each queued at most once.
+struct Worklist {
+    queue: VecDeque<OpId>,
+    queued: Vec<bool>,
+}
+
+impl Worklist {
+    fn push(&mut self, op: OpId) {
+        if !std::mem::replace(&mut self.queued[op.index()], true) {
+            self.queue.push_back(op);
         }
     }
+
+    fn pop(&mut self) -> Option<OpId> {
+        let op = self.queue.pop_front()?;
+        self.queued[op.index()] = false;
+        Some(op)
+    }
+}
+
+/// Worklist fold over an indexed body. The list is seeded once with every
+/// op in pre-order — definitions before uses, so a valid body reaches the
+/// fixed point in that one sweep — and a rewrite re-queues the users of
+/// the value it changed (a no-op while they still wait for their turn).
+pub(crate) fn fold(body: &mut Body, uses: &mut UseIndex) -> usize {
+    let mut work = Worklist {
+        queue: VecDeque::new(),
+        queued: vec![false; body.num_ops()],
+    };
+    body.walk(|op| {
+        if foldable(&body.op(op).opcode) {
+            work.push(op);
+        }
+    });
+    let mut rewrites = 0;
+    while let Some(op_id) = work.pop() {
+        let op = body.op(op_id);
+        if uses.is_dead(op_id) || !foldable(&op.opcode) {
+            continue;
+        }
+        // Identity simplifications first (do not require all-const).
+        if let Some(repl) = identity(body, op_id) {
+            let result = op.result();
+            uses.users(result).for_each(|user| work.push(user));
+            uses.replace_all_uses(body, result, repl);
+            uses.erase(body, op_id);
+            rewrites += 1;
+            continue;
+        }
+        // `eval` knows no op of more than three operands.
+        let mut consts = [Const::B(false); 3];
+        if op.operands.len() > consts.len() {
+            continue;
+        }
+        let known = op
+            .operands
+            .iter()
+            .zip(&mut consts)
+            .all(|(&v, slot)| const_of(body, v).map(|c| *slot = c).is_some());
+        if !known {
+            continue;
+        }
+        if let Some(value) = eval(&op.opcode, &consts[..op.operands.len()]) {
+            let result = op.result();
+            make_constant(body, uses, op_id, value);
+            uses.users(result).for_each(|user| work.push(user));
+            rewrites += 1;
+        }
+    }
+    rewrites
 }
 
 #[cfg(test)]

@@ -54,6 +54,7 @@ pub mod parse;
 pub mod pass;
 pub mod print;
 pub mod types;
+mod uses;
 pub mod verify;
 
 pub use attr::Attribute;

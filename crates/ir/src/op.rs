@@ -86,7 +86,7 @@ impl fmt::Display for CmpPred {
 }
 
 /// Every operation kind known to the IR, namespaced by dialect.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub enum OpCode {
     // ----- arith -----
     /// `arith.constant` — materializes a constant; payload in the `value`

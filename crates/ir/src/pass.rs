@@ -3,7 +3,12 @@
 use std::error::Error;
 use std::fmt;
 
+use crate::body::Func;
+use crate::cse::cse;
+use crate::dce::dce;
+use crate::fold::fold;
 use crate::module::Module;
+use crate::uses::run_indexed;
 
 /// Failure of a pass, with the pass name for diagnostics.
 #[derive(Debug, Clone)]
@@ -115,6 +120,13 @@ impl PassManager {
     }
 }
 
+/// Canonicalizes one function: fold → CSE → DCE over a single use index
+/// (see `DESIGN.md`, "The canonicalizer"), O(ops + uses). Returns the
+/// number of rewrites; `0` means `func` already was canonical.
+pub fn canonicalize_func(func: &mut Func) -> usize {
+    run_indexed(func, &[fold, cse, dce])
+}
+
 /// Built-in pass: constant folding + canonicalization on every function.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct CanonicalizePass;
@@ -126,9 +138,7 @@ impl Pass for CanonicalizePass {
 
     fn run(&self, module: &mut Module) -> Result<(), PassError> {
         for func in module.funcs_mut() {
-            crate::fold::fold_func(func);
-            crate::cse::cse_func(func);
-            crate::dce::dce_func(func);
+            canonicalize_func(func);
         }
         Ok(())
     }

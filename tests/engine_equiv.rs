@@ -29,6 +29,7 @@
 //! runs exercise the scalar epilogue and the sub-`MIN_RUN` generic
 //! fallback of the run-specialized path.
 
+use instencil::exec::BcOptions;
 use instencil::prelude::*;
 use instencil::solvers::euler::NV;
 use instencil::solvers::euler_codegen::euler_lusgs_module;
@@ -381,5 +382,85 @@ fn gs5_engines_match_on_ragged_innermost_extents() {
             2,
             &format!("gs5 ragged {ny}x{nx}"),
         );
+    }
+}
+
+/// The coarsened-task dataflow executor (tiny blocks fused into chains,
+/// the fix for the inverse-scaling bug) must stay bit- and
+/// stats-identical to sequential levels execution.
+#[test]
+fn coarsened_tasks_match_levels_bitwise_across_engines_and_threads() {
+    // 32 interior points / 4 → an 8x8 block grid (64 blocks, inner row
+    // 8). Under the default machine model the dataflow grain is 8 at 1
+    // and 2 threads, 4 at 4 and 2 at 8 — every thread count below
+    // exercises genuinely fused multi-block tasks, and the engines are
+    // driven directly (not through the driver) so the worker counts are
+    // real even on a single-core host.
+    let module = kernels::sor_module(1.5);
+    let compiled = compile(&module, &PipelineOptions::new(vec![4, 4], vec![2, 2])).unwrap();
+    let shape = [1usize, 34, 34];
+
+    let run = |engine: Option<BcOptions>, threads: usize, scheduler: Scheduler| {
+        let u = seeded(&shape);
+        let b = seeded(&shape);
+        let args = vec![RtVal::Buf(u.clone()), RtVal::Buf(b.clone())];
+        let stats = match engine {
+            None => {
+                let mut interp = Interpreter::with_opts(
+                    threads,
+                    instencil::obs::Obs::off(),
+                    scheduler,
+                );
+                for _ in 0..2 {
+                    interp.call(&compiled.module, "sor", args.clone()).unwrap();
+                }
+                interp.stats
+            }
+            Some(opts) => {
+                let mut eng = BytecodeEngine::compile_with_opts(
+                    &compiled.module,
+                    threads,
+                    instencil::obs::Obs::off(),
+                    opts,
+                )
+                .unwrap()
+                .with_scheduler(scheduler);
+                for _ in 0..2 {
+                    eng.call("sor", args.clone()).unwrap();
+                }
+                eng.stats
+            }
+        };
+        (u.to_vec(), stats)
+    };
+
+    let (expect, stats_ref) = run(None, 1, Scheduler::Levels);
+    assert!(stats_ref.wavefront_levels > 0, "wavefronts expected");
+    let engines: [(&str, Option<BcOptions>); 3] = [
+        ("interp", None),
+        ("bytecode", Some(BcOptions::default())),
+        (
+            "bytecode-dispatch",
+            Some(BcOptions {
+                specialize_runs: false,
+            }),
+        ),
+    ];
+    for threads in [1usize, 2, 4, 8] {
+        for (name, opts) in &engines {
+            let (got, stats) = run(*opts, threads, Scheduler::Dataflow);
+            let label = format!("{name} dataflow threads={threads}");
+            assert!(
+                expect
+                    .iter()
+                    .zip(&got)
+                    .all(|(a, b)| a.to_bits() == b.to_bits()),
+                "{label}: coarsened execution changed result bits"
+            );
+            assert_eq!(
+                stats_ref, stats,
+                "{label}: coarsened execution changed the stats"
+            );
+        }
     }
 }
