@@ -30,55 +30,13 @@ echo "==> cargo build --release"
 cargo build $OFFLINE --workspace --release
 
 echo "==> cargo test (tier-1: default-members cover the whole workspace)"
+# Runs in the debug profile, so the wavefront overlap checkers are armed
+# for every test: the overlap_checker, dataflow_trace and batched
+# engine_equiv suites included.
 cargo test $OFFLINE -q
 
 echo "==> cargo clippy -D warnings"
 cargo clippy $OFFLINE --workspace --all-targets -- -D warnings
-
-echo "==> overlap checker (debug profile — the checker compiles out in release)"
-# The non-atomic tile views of the run-specialized engine are sound only
-# under Eq. (3) disjoint scheduling; these tests prove the debug checker
-# both accepts a correct schedule and panics on a deliberate mis-schedule.
-cargo test $OFFLINE --test overlap_checker
-
-echo "==> dataflow scheduler ordering property (debug profile)"
-# The dataflow pool replaces the per-level barrier with per-edge atomic
-# in-degrees; these property tests stamp every block with a shared
-# logical clock on random graphs and assert no block ever starts before
-# its predecessors finish, at 1/2/4/8 workers — both the intra-sweep
-# Eq. (3) ordering and the sweep-extended ordering of batched drains
-# (self anti dependence + forward-neighbor flow dependence into the
-# next sweep).
-cargo test $OFFLINE --test dataflow_trace
-
-echo "==> batched sweep equivalence (debug profile — sweep checker active)"
-# Cross-sweep batching must stay bit- and stats-identical to eager
-# sweep-by-sweep execution on SOR Tr2, gs5, and LU-SGS, across both
-# wavefront schedulers and 1/2/4/8 threads at depths 1/2/4. The debug
-# profile keeps the cross-sweep overlap checker armed, so a mis-batched
-# schedule panics instead of silently producing matching bits.
-cargo test $OFFLINE --test engine_equiv batched
-
-echo "==> engines bench smoke (engines matrix + vectorization + scaling gates, writes BENCH_exec.json)"
-# Besides the engine comparison this runs the vectorization gate (every
-# run-specialized gs5-vf* row must beat its scalar sibling — the fence
-# for the partial-vectorization pessimization) and the three scaling
-# gates: dataflow@8 within tolerance of levels@8, monotone 1→2→4 steps,
-# and dataflow@8 vs levels@1 on LU-SGS (the seed inversion), each with a
-# single re-measure on breach; accepted re-measurements are what the
-# JSON persists. The temporal section measures batched sweeps at depths
-# 1/2/4/8 and gates batched LU-SGS at the cost-model depth at <= 0.9x
-# eager (the >= 1.1x amortization bar).
-INSTENCIL_BENCH_FAST=1 cargo bench $OFFLINE -p instencil-bench --bench engines
-
-echo "==> bench report schema gate (BENCH_exec_report.json vs obs schema)"
-# Also asserts worker records carry the steal_dist/fused counters, that
-# the gs5-vf4/gs5-vf8 rows exist on every engine and beat gs5-scalar on
-# the run-specialized one, that the scaling matrix
-# (levels/dataflow x 1/2/4/8 threads) is complete, and that the
-# temporal rows (eager + k1/k2/k4/k8 on LU-SGS and SOR Tr2) exist with
-# the stored batched best under 0.9x eager on the coarse LU-SGS case.
-cargo run $OFFLINE --release --example validate_bench_report
 
 echo "==> obs report smoke (Trace pipeline run, schema-validates the JSON)"
 # The example fails if the emitted report does not validate against the
@@ -91,8 +49,7 @@ echo "==> scheduler trace export (LU-SGS under both schedulers, validates the Pe
 # trace_event JSON (results/TRACE_lusgs_*.json), and validates the
 # emitted documents against the trace_event shape plus the run report
 # against the obs schema — the example panics on any violation, so this
-# is the trace-export schema gate. The Trace-ring ≤1.10x overhead gate
-# itself runs inside the engines bench above.
+# is the trace-export schema gate.
 cargo run $OFFLINE --release --example trace_export
 
 echo "CI OK"

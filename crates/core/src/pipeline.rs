@@ -75,7 +75,7 @@ pub enum Engine {
     Bytecode,
     /// Compiled bytecode tapes with run specialization disabled —
     /// every point pays full opcode dispatch. Exists to measure what
-    /// the specialized run path buys (see `benches/engines.rs`) and as
+    /// the specialized run path buys (`Engine::Bytecode` vs this) and as
     /// a differential-testing comparator; results and statistics are
     /// bit-identical to the other two engines.
     BytecodeDispatch,

@@ -632,13 +632,13 @@ fn max_or_nan(a: f64, b: f64) -> f64 {
 /// for the Eq. (3) disjointness guarantee the non-atomic [`TileView`]
 /// path relies on.
 ///
-/// While a wavefront block executes (between [`LevelChecker::guard`]
+/// While a wavefront block executes (between [`overlap::LevelChecker::guard`]
 /// and the guard's drop), every buffer store on that thread is recorded
 /// into a thread-local, per-block set of flat-index intervals, grouped
 /// by allocation. When the block finishes, its write set is merged into
 /// the level's shared state; if it intersects the write set of any
 /// *other* block of the same level, the checker panics naming both
-/// blocks and the offending extents. A fresh [`LevelChecker`] per level
+/// blocks and the offending extents. A fresh [`overlap::LevelChecker`] per level
 /// implements the "reset at the barrier" semantics — blocks of
 /// *different* levels may freely write the same cells.
 ///
@@ -647,9 +647,11 @@ fn max_or_nan(a: f64, b: f64) -> f64 {
 /// cannot be re-allocated at the same address by a later block of the
 /// same level and produce a false positive.
 ///
-/// The whole module compiles to no-ops in release builds (`ci.sh` runs
-/// the checker tests under the debug profile); `cargo test` exercises
-/// it on every shipped schedule by default.
+/// The graph drain uses [`overlap::SweepChecker`], which
+/// checks against the (sweep-extended) dependence graph instead of a
+/// level. The whole module compiles to no-ops in release builds;
+/// `cargo test` runs in the debug profile and so exercises it on every
+/// shipped schedule by default.
 #[cfg(debug_assertions)]
 pub mod overlap {
     use std::cell::RefCell;
@@ -672,6 +674,52 @@ pub mod overlap {
         static ACTIVE: RefCell<Option<BlockWrites>> = const { RefCell::new(None) };
     }
 
+    /// Starts recording `block` (a checker-specific id) on the current
+    /// thread.
+    fn start(block: usize) {
+        ACTIVE.with(|a| {
+            let mut a = a.borrow_mut();
+            debug_assert!(a.is_none(), "nested overlap-checker blocks");
+            *a = Some(BlockWrites {
+                block,
+                per_storage: Vec::new(),
+            });
+        });
+    }
+
+    /// Stops recording on the current thread and yields the write set —
+    /// `None` while unwinding out of a failed block, so a guard never
+    /// double-panics.
+    fn finish() -> Option<BlockWrites> {
+        let writes = ACTIVE.with(|a| a.borrow_mut().take())?;
+        (!std::thread::panicking()).then_some(writes)
+    }
+
+    /// Checks `writes` against every committed write set that `ordered`
+    /// leaves unordered with it and commits it; returns the first
+    /// collision as `(prior block id, lo, hi)` instead.
+    fn check_and_commit(
+        done: &Mutex<Vec<BlockWrites>>,
+        mut writes: BlockWrites,
+        ordered: impl Fn(usize, usize) -> bool,
+    ) -> Option<(usize, usize, usize)> {
+        for (_, _, intervals) in &mut writes.per_storage {
+            normalize(intervals);
+        }
+        let mut done = done.lock().unwrap();
+        for prior in done.iter().filter(|p| !ordered(p.block, writes.block)) {
+            for (id, _, intervals) in &writes.per_storage {
+                for (_, _, prior_intervals) in prior.per_storage.iter().filter(|(p, ..)| p == id) {
+                    if let Some((lo, hi)) = intersect(intervals, prior_intervals) {
+                        return Some((prior.block, lo, hi));
+                    }
+                }
+            }
+        }
+        done.push(writes);
+        None
+    }
+
     /// Shared per-level state: the write sets of every finished block.
     #[derive(Default)]
     pub struct LevelChecker {
@@ -687,41 +735,20 @@ pub mod overlap {
         /// Starts recording block `block` on the current thread; the
         /// returned guard commits and checks the write set on drop.
         pub fn guard(&self, block: usize) -> BlockGuard<'_> {
-            ACTIVE.with(|a| {
-                let mut a = a.borrow_mut();
-                debug_assert!(a.is_none(), "nested overlap-checker blocks");
-                *a = Some(BlockWrites {
-                    block,
-                    per_storage: Vec::new(),
-                });
-            });
+            start(block);
             BlockGuard { checker: self }
         }
 
-        fn commit(&self, mut writes: BlockWrites) {
-            for (_, _, intervals) in &mut writes.per_storage {
-                normalize(intervals);
+        fn commit(&self, writes: BlockWrites) {
+            let block = writes.block;
+            // Blocks of one level are mutually unordered.
+            if let Some((prior, lo, hi)) = check_and_commit(&self.done, writes, |_, _| false) {
+                panic!(
+                    "wavefront overlap: blocks {prior} and {block} of the same \
+                     level both wrote flat extent [{lo}, {hi}] of one \
+                     allocation — the schedule violates Eq. (3) disjointness"
+                );
             }
-            let mut done = self.done.lock().unwrap();
-            for prior in done.iter() {
-                for (id, _, intervals) in &writes.per_storage {
-                    for (pid, _, prior_intervals) in &prior.per_storage {
-                        if pid != id {
-                            continue;
-                        }
-                        if let Some((lo, hi)) = intersect(intervals, prior_intervals) {
-                            panic!(
-                                "wavefront overlap: blocks {} and {} of the same \
-                                 level both wrote flat extent [{lo}, {hi}] of one \
-                                 allocation — the schedule violates Eq. (3) \
-                                 disjointness",
-                                prior.block, writes.block
-                            );
-                        }
-                    }
-                }
-            }
-            done.push(writes);
         }
     }
 
@@ -732,14 +759,9 @@ pub mod overlap {
 
     impl Drop for BlockGuard<'_> {
         fn drop(&mut self) {
-            let Some(writes) = ACTIVE.with(|a| a.borrow_mut().take()) else {
-                return;
-            };
-            // Don't double-panic while unwinding out of a failed block.
-            if std::thread::panicking() {
-                return;
+            if let Some(writes) = finish() {
+                self.checker.commit(writes);
             }
-            self.checker.commit(writes);
         }
     }
 
@@ -802,142 +824,27 @@ pub mod overlap {
         }
     }
 
-    /// Whole-run overlap checker for the dataflow scheduler.
+    /// Whole-run overlap checker for the dataflow drain (eager runs are
+    /// `sweeps = 1`).
     ///
-    /// Dataflow execution has no levels to reset at, so disjointness is
-    /// checked against the block *dependence graph* instead: any two
-    /// blocks left **unordered** by the graph may run concurrently (at
-    /// some thread count, under some timing), so they must write
-    /// disjoint extents. Blocks ordered by a transitive dependence may
-    /// freely reuse cells — the Acquire/Release edge of the in-degree
-    /// handoff orders their writes.
+    /// A drain has no levels to reset at, so disjointness is checked
+    /// against the dependence graph instead. The checked universe is the
+    /// `sweeps × num_blocks` grid of sweep-qualified block executions.
+    /// Within one sweep the ordering relation is the block dependence
+    /// graph. Across sweeps, block `b` of sweep `s+1` is ordered after
+    /// `{b} ∪ succ(b)` of sweep `s` (the cross-sweep dependence pattern
+    /// of the L/U in-place split), and transitively after everything
+    /// those nodes dominate. Any pair of sweep-qualified executions left
+    /// **unordered** by that relation may run concurrently (at some
+    /// thread count, under some timing), so their write intervals must
+    /// be disjoint; ordered pairs may freely reuse cells — the
+    /// Acquire/Release edge of the in-degree handoff orders their writes.
     ///
-    /// Ordering is decided from transitive-ancestor bitsets computed
-    /// once per run, so verdicts are deterministic: the same module
-    /// panics (or passes) identically at every thread count, including
-    /// 1 — unlike a temporal check, which would only catch races that
-    /// happened to manifest.
-    pub struct GraphChecker {
-        /// `ancestors[b]` bit `p` set iff block `p` is a transitive
-        /// predecessor of `b` (all predecessors have lower flat index).
-        ancestors: Vec<Vec<u64>>,
-        done: Mutex<Vec<BlockWrites>>,
-    }
-
-    impl GraphChecker {
-        /// A fresh checker for one dataflow run over `graph`.
-        pub fn new(graph: &instencil_pattern::dataflow::BlockGraph) -> Self {
-            let n = graph.num_blocks();
-            let words = n.div_ceil(64);
-            let mut ancestors: Vec<Vec<u64>> = Vec::with_capacity(n);
-            for b in 0..n {
-                let mut bits = vec![0u64; words];
-                for &p in graph.predecessors(b) {
-                    let p = p as usize;
-                    // Predecessors precede `b` in flat order (deps are
-                    // lexicographically negative), so ancestors[p] is
-                    // already final.
-                    for (w, a) in bits.iter_mut().zip(&ancestors[p]) {
-                        *w |= a;
-                    }
-                    bits[p / 64] |= 1 << (p % 64);
-                }
-                ancestors.push(bits);
-            }
-            GraphChecker {
-                ancestors,
-                done: Mutex::new(Vec::new()),
-            }
-        }
-
-        fn ordered(&self, a: usize, b: usize) -> bool {
-            let has = |anc: &[u64], x: usize| anc[x / 64] >> (x % 64) & 1 == 1;
-            has(&self.ancestors[b], a) || has(&self.ancestors[a], b)
-        }
-
-        /// Starts recording block `block` on the current thread; the
-        /// returned guard commits and checks the write set on drop.
-        pub fn guard(&self, block: usize) -> GraphGuard<'_> {
-            ACTIVE.with(|a| {
-                let mut a = a.borrow_mut();
-                debug_assert!(a.is_none(), "nested overlap-checker blocks");
-                *a = Some(BlockWrites {
-                    block,
-                    per_storage: Vec::new(),
-                });
-            });
-            GraphGuard { checker: self }
-        }
-
-        fn commit(&self, mut writes: BlockWrites) {
-            for (_, _, intervals) in &mut writes.per_storage {
-                normalize(intervals);
-            }
-            let mut done = self.done.lock().unwrap();
-            for prior in done.iter() {
-                if self.ordered(prior.block, writes.block) {
-                    continue;
-                }
-                for (id, _, intervals) in &writes.per_storage {
-                    for (pid, _, prior_intervals) in &prior.per_storage {
-                        if pid != id {
-                            continue;
-                        }
-                        if let Some((lo, hi)) = intersect(intervals, prior_intervals) {
-                            // Commit order is nondeterministic under
-                            // concurrency; report the pair in block order.
-                            let (a, b) = (
-                                prior.block.min(writes.block),
-                                prior.block.max(writes.block),
-                            );
-                            panic!(
-                                "wavefront overlap: blocks {a} and {b} are \
-                                 unordered by the block dependence graph and \
-                                 both wrote flat extent [{lo}, {hi}] of one \
-                                 allocation — the dependences violate Eq. (3) \
-                                 disjointness"
-                            );
-                        }
-                    }
-                }
-            }
-            done.push(writes);
-        }
-    }
-
-    /// RAII scope of one block's recording (see [`GraphChecker::guard`]).
-    pub struct GraphGuard<'a> {
-        checker: &'a GraphChecker,
-    }
-
-    impl Drop for GraphGuard<'_> {
-        fn drop(&mut self) {
-            let Some(writes) = ACTIVE.with(|a| a.borrow_mut().take()) else {
-                return;
-            };
-            if std::thread::panicking() {
-                return;
-            }
-            self.checker.commit(writes);
-        }
-    }
-
-    /// Whole-batch overlap checker for sweep-batched dataflow runs.
-    ///
-    /// The checked universe is the `sweeps × num_blocks` grid of
-    /// sweep-qualified block executions. Within one sweep the ordering
-    /// relation is the block dependence graph, exactly as in
-    /// [`GraphChecker`]. Across sweeps, block `b` of sweep `s+1` is
-    /// ordered after `{b} ∪ succ(b)` of sweep `s` (the cross-sweep
-    /// dependence pattern of the L/U in-place split), and transitively
-    /// after everything those nodes dominate. Any pair of sweep-qualified
-    /// executions left unordered by that relation may run concurrently
-    /// under the batched drain, so their write intervals must be
-    /// disjoint.
-    ///
-    /// Like [`GraphChecker`], verdicts come from transitive-ancestor
-    /// bitsets computed once per batch, so a bad batched schedule panics
-    /// deterministically at every thread count.
+    /// Ordering is decided from transitive-ancestor bitsets computed once
+    /// per run, so verdicts are deterministic: the same module panics (or
+    /// passes) identically at every thread count, including 1 — unlike a
+    /// temporal check, which would only catch races that happened to
+    /// manifest.
     pub struct SweepChecker {
         /// Blocks per sweep (node id = `sweep * n_blocks + block`).
         n_blocks: usize,
@@ -995,52 +902,29 @@ pub mod overlap {
         /// current thread; the returned guard commits and checks the
         /// write set on drop.
         pub fn guard(&self, sweep: usize, block: usize) -> SweepGuard<'_> {
-            ACTIVE.with(|a| {
-                let mut a = a.borrow_mut();
-                debug_assert!(a.is_none(), "nested overlap-checker blocks");
-                *a = Some(BlockWrites {
-                    block: sweep * self.n_blocks + block,
-                    per_storage: Vec::new(),
-                });
-            });
+            start(sweep * self.n_blocks + block);
             SweepGuard { checker: self }
         }
 
-        fn commit(&self, mut writes: BlockWrites) {
-            for (_, _, intervals) in &mut writes.per_storage {
-                normalize(intervals);
-            }
-            let mut done = self.done.lock().unwrap();
-            for prior in done.iter() {
-                if self.ordered(prior.block, writes.block) {
-                    continue;
-                }
-                for (id, _, intervals) in &writes.per_storage {
-                    for (pid, _, prior_intervals) in &prior.per_storage {
-                        if pid != id {
-                            continue;
-                        }
-                        if let Some((lo, hi)) = intersect(intervals, prior_intervals) {
-                            let (a, b) = (
-                                prior.block.min(writes.block),
-                                prior.block.max(writes.block),
-                            );
-                            let n = self.n_blocks;
-                            panic!(
-                                "sweep-batch overlap: block {} of sweep {} and \
-                                 block {} of sweep {} are unordered by the \
-                                 sweep-extended dependence graph and both wrote \
-                                 flat extent [{lo}, {hi}] of one allocation",
-                                a % n,
-                                a / n,
-                                b % n,
-                                b / n,
-                            );
-                        }
-                    }
-                }
-            }
-            done.push(writes);
+        fn commit(&self, writes: BlockWrites) {
+            let node = writes.block;
+            let Some((prior, lo, hi)) =
+                check_and_commit(&self.done, writes, |a, b| self.ordered(a, b))
+            else {
+                return;
+            };
+            // Commit order is nondeterministic under concurrency; report
+            // the pair in (block, sweep) order.
+            let n = self.n_blocks;
+            let key = |node: usize| (node % n, node / n);
+            let (a, b) = (key(prior).min(key(node)), key(prior).max(key(node)));
+            panic!(
+                "wavefront overlap: blocks {} and {} (of sweeps {} and {}) are \
+                 unordered by the dependence graph and both wrote flat extent \
+                 [{lo}, {hi}] of one allocation — the dependences violate \
+                 Eq. (3) disjointness",
+                a.0, b.0, a.1, b.1,
+            );
         }
     }
 
@@ -1052,13 +936,9 @@ pub mod overlap {
 
     impl Drop for SweepGuard<'_> {
         fn drop(&mut self) {
-            let Some(writes) = ACTIVE.with(|a| a.borrow_mut().take()) else {
-                return;
-            };
-            if std::thread::panicking() {
-                return;
+            if let Some(writes) = finish() {
+                self.checker.commit(writes);
             }
-            self.checker.commit(writes);
         }
     }
 
@@ -1124,27 +1004,7 @@ pub mod overlap {
         }
     }
 
-    /// No-op stand-in for the debug dataflow checker.
-    pub struct GraphChecker;
-
-    /// No-op guard.
-    pub struct GraphGuard;
-
-    impl GraphChecker {
-        /// A fresh (no-op) checker.
-        #[inline]
-        pub fn new(_graph: &instencil_pattern::dataflow::BlockGraph) -> Self {
-            Self
-        }
-
-        /// No-op block scope.
-        #[inline]
-        pub fn guard(&self, _block: usize) -> GraphGuard {
-            GraphGuard
-        }
-    }
-
-    /// No-op stand-in for the debug sweep-batch checker.
+    /// No-op stand-in for the debug graph-drain checker.
     pub struct SweepChecker;
 
     /// No-op guard.

@@ -30,12 +30,11 @@ use instencil_ir::{CmpPred, Module};
 use instencil_obs::trace::{self, TraceKind};
 use instencil_obs::Obs;
 use instencil_pattern::dataflow::{self, Scheduler};
-use instencil_pattern::CsrWavefronts;
 
 use crate::buffer::BufferView;
 use crate::compile::{compile_program, BcCompileError, BcOptions};
 use crate::interp::ExecError;
-use crate::parallel::WavefrontPool;
+use crate::parallel::{self, WavefrontPool};
 use crate::runspec::{self, RunScratch, RunSpec};
 use crate::stats::ExecStats;
 use crate::value::RtVal;
@@ -584,7 +583,7 @@ impl BytecodeEngine {
     /// [`BytecodeEngine::compile_with_obs`] with explicit compile
     /// options — `opts.specialize_runs = false` forces dispatch-per-point
     /// execution (the pre-§4f engine), kept for differential tests and
-    /// the engines bench.
+    /// for measuring what run specialization buys.
     ///
     /// # Errors
     /// See [`BytecodeEngine::compile`].
@@ -847,7 +846,7 @@ impl BcCtx<'_> {
                 for _ in 0..sweeps {
                     stats.merge(&prefix_stats);
                 }
-                self.exec_wavefronts_batched(func, rows, cols, block, body, sweeps, &mut regs, stats)
+                self.exec_wavefronts(func, rows, cols, block, body, sweeps, &mut regs, stats)
             });
         self.scratch
             .lock()
@@ -1084,7 +1083,7 @@ impl BcCtx<'_> {
                     block,
                     body,
                 } => {
-                    self.exec_wavefronts(func, *rows, *cols, *block, *body, regs, stats)?;
+                    self.exec_wavefronts(func, *rows, *cols, *block, *body, 1, regs, stats)?;
                 }
                 Instr::GetParallelBlocks {
                     dims,
@@ -1376,164 +1375,15 @@ impl BcCtx<'_> {
         true
     }
 
-    /// `scf.execute_wavefronts`: sequential over levels, parallel within
-    /// one — mirrors the interpreter exactly, including how statistics
-    /// are attributed (the coordinator counts levels once; workers count
-    /// the blocks they run in private frames that are merged here).
+    /// `sweeps` executions of one `scf.execute_wavefronts` (1 for an
+    /// eager call) through [`parallel::execute_wavefronts`] — mirrors
+    /// the interpreter exactly, including how statistics are attributed:
+    /// the coordinator counts levels (from the CSR row pointer, once per
+    /// sweep, whichever way the blocks run); workers count the blocks
+    /// they run in private frames that are merged here — so counters are
+    /// scheduler-, batching- and thread-count-invariant.
     #[allow(clippy::too_many_arguments)]
     fn exec_wavefronts(
-        &self,
-        func: &BcFunc,
-        rows: u32,
-        cols: u32,
-        block: u32,
-        body: u32,
-        regs: &mut Regs,
-        stats: &mut ExecStats,
-    ) -> Result<(), ExecError> {
-        let rows = Arc::clone(regs.arr(rows)?);
-        let cols = Arc::clone(regs.arr(cols)?);
-        // Dataflow mode recovers the dependence graph from the Arc
-        // identity of `cols` (minted by `Instr::GetParallelBlocks` via
-        // the schedule-bundle cache); a miss falls back to levels. The
-        // path is taken at one thread too: the inline dataflow sweep
-        // walks blocks in flat ascending order with no CSR level
-        // indirection, which is strictly cheaper than the level-major
-        // walk below.
-        if self.pool.scheduler() == Scheduler::Dataflow {
-            if let Some(bundle) = dataflow::lookup_by_cols(&cols) {
-                // Levels are still counted from the CSR row pointer so
-                // statistics stay scheduler-invariant.
-                stats.wavefront_levels += (rows.len() - 1) as u64;
-                let base: &Regs = regs;
-                return self.pool.try_execute_bundle(
-                    &bundle,
-                    || {
-                        let mut r = base.clone();
-                        if let Some(rs) = self.scratch.lock().unwrap().pop() {
-                            r.rs = rs;
-                        }
-                        (r, ExecStats::default())
-                    },
-                    |state: &mut (Regs, ExecStats), b| {
-                        let (worker_regs, worker_stats) = state;
-                        worker_stats.blocks_executed += 1;
-                        worker_regs.i[block as usize] = b as i64;
-                        self.run_tape(func, body, worker_regs, worker_stats)
-                    },
-                    |(mut worker_regs, worker_stats)| {
-                        self.scratch
-                            .lock()
-                            .unwrap()
-                            .push(std::mem::take(&mut worker_regs.rs));
-                        stats.merge(&worker_stats);
-                    },
-                );
-            }
-            self.pool
-                .obs()
-                .event("dataflow-fallback", "cols not from schedule cache");
-        }
-        if self.pool.threads() == 1 {
-            let obs = self.pool.obs();
-            let record = obs.enabled();
-            let detail = obs.detail_enabled();
-            let _tg = trace::install(obs.worker_tracer(0));
-            let mut level_records = Vec::new();
-            let mut outcome = Ok(());
-            'levels: for (index, level) in rows.windows(2).enumerate() {
-                let checker = crate::buffer::overlap::LevelChecker::new();
-                let t0 = record.then(std::time::Instant::now);
-                let ts = trace::begin();
-                let mut done = 0u64;
-                stats.wavefront_levels += 1;
-                for &c in &cols[level[0] as usize..level[1] as usize] {
-                    stats.blocks_executed += 1;
-                    done += 1;
-                    regs.i[block as usize] = c;
-                    let _wg = checker.guard(c as usize);
-                    if let Err(e) = self.run_tape(func, body, regs, stats) {
-                        outcome = Err(e);
-                        break;
-                    }
-                }
-                if done > 0 {
-                    trace::end(TraceKind::Task, ts, index as u32, done as u32);
-                }
-                if let Some(t0) = t0 {
-                    let wall_ns = t0.elapsed().as_nanos() as u64;
-                    level_records.push(instencil_obs::LevelRecord {
-                        index,
-                        blocks: (level[1] - level[0]) as u64,
-                        wall_ns,
-                        workers: if detail {
-                            vec![instencil_obs::WorkerRecord {
-                                busy_ns: wall_ns,
-                                blocks: done,
-                                ..instencil_obs::WorkerRecord::default()
-                            }]
-                        } else {
-                            Vec::new()
-                        },
-                    });
-                }
-                if outcome.is_err() {
-                    break 'levels;
-                }
-            }
-            if record {
-                obs.record_wavefronts(instencil_obs::WavefrontRecord {
-                    threads: 1,
-                    scheduler: Scheduler::Levels.name().to_owned(),
-                    sweeps: 1,
-                    levels: level_records,
-                });
-            }
-            return outcome;
-        }
-        let row_ptr: Vec<usize> = rows.iter().map(|&x| x as usize).collect();
-        let blocks: Vec<usize> = cols.iter().map(|&x| x as usize).collect();
-        let schedule = CsrWavefronts::new(row_ptr, blocks);
-        stats.wavefront_levels += schedule.num_levels() as u64;
-        // Each worker gets a clone of the register files: tape-local
-        // registers are written per block but never read across blocks
-        // (SSA dominance), so discarding the clones afterwards matches
-        // sequential semantics.
-        let base: &Regs = regs;
-        self.pool.try_execute_stateful(
-            &schedule,
-            || {
-                let mut r = base.clone();
-                if let Some(rs) = self.scratch.lock().unwrap().pop() {
-                    r.rs = rs;
-                }
-                (r, ExecStats::default())
-            },
-            |state: &mut (Regs, ExecStats), b| {
-                let (worker_regs, worker_stats) = state;
-                worker_stats.blocks_executed += 1;
-                worker_regs.i[block as usize] = b as i64;
-                self.run_tape(func, body, worker_regs, worker_stats)
-            },
-            |(mut worker_regs, worker_stats)| {
-                self.scratch
-                    .lock()
-                    .unwrap()
-                    .push(std::mem::take(&mut worker_regs.rs));
-                stats.merge(&worker_stats);
-            },
-        )
-    }
-
-    /// `sweeps` fused executions of one `scf.execute_wavefronts`,
-    /// drained dataflow-style through the sweep-extended graph (the
-    /// scheduler knob is ignored: a level barrier would serialize the
-    /// sweeps and defeat the batching; results are order-independent, so
-    /// they are bit-identical either way). Statistics are counted as if
-    /// the sweeps ran eagerly: the level count accrues per sweep and the
-    /// workers count every block they execute.
-    #[allow(clippy::too_many_arguments)]
-    fn exec_wavefronts_batched(
         &self,
         func: &BcFunc,
         rows: u32,
@@ -1544,24 +1394,17 @@ impl BcCtx<'_> {
         regs: &mut Regs,
         stats: &mut ExecStats,
     ) -> Result<(), ExecError> {
-        let row_arr = Arc::clone(regs.arr(rows)?);
-        let col_arr = Arc::clone(regs.arr(cols)?);
-        let Some(bundle) = dataflow::lookup_by_cols(&col_arr) else {
-            // The schedule did not come from the bundle cache (never the
-            // case for `cfd.get_parallel_blocks` output): run the sweeps
-            // eagerly through the ordinary executor.
-            self.pool
-                .obs()
-                .event("sweep-batch-fallback", "cols not from schedule cache");
-            for _ in 0..sweeps {
-                self.exec_wavefronts(func, rows, cols, block, body, regs, stats)?;
-            }
-            return Ok(());
-        };
-        stats.wavefront_levels += (sweeps * (row_arr.len() - 1)) as u64;
+        let (rows, cols) = (regs.arr(rows)?, regs.arr(cols)?);
+        stats.wavefront_levels += (sweeps * (rows.len() - 1)) as u64;
+        // Each worker gets a clone of the register files: tape-local
+        // registers are written per block but never read across blocks
+        // (SSA dominance), so discarding the clones afterwards matches
+        // sequential semantics.
         let base: &Regs = regs;
-        self.pool.try_execute_sweep_batch(
-            &bundle,
+        parallel::execute_wavefronts(
+            &self.pool,
+            rows,
+            cols,
             sweeps,
             || {
                 let mut r = base.clone();
@@ -1570,7 +1413,7 @@ impl BcCtx<'_> {
                 }
                 (r, ExecStats::default())
             },
-            |state: &mut (Regs, ExecStats), _sweep, b| {
+            |state: &mut (Regs, ExecStats), b| {
                 let (worker_regs, worker_stats) = state;
                 worker_stats.blocks_executed += 1;
                 worker_regs.i[block as usize] = b as i64;

@@ -1,11 +1,12 @@
 //! Convenience driver for iterative kernels.
 //!
 //! Kernels compiled by `instencil-core` perform one sweep per call and
-//! mutate their argument buffers in place; [`run_sweeps`] drives the
-//! iteration loop (the granularity at which the paper synchronizes
-//! between Gauss-Seidel iterations). [`run_sweeps_threaded`] does the
-//! same with a wavefront worker count; [`run_compiled_sweeps`] reads the
-//! `threads` and `engine` knobs from the module's [`PipelineOptions`].
+//! mutate their argument buffers in place; [`Runner`] binds a module to
+//! an engine, a wavefront worker count and a [`Scheduler`], and drives
+//! the iteration loop (the granularity at which the paper synchronizes
+//! between Gauss-Seidel iterations). [`run_sweeps`] and
+//! [`run_sweeps_opts`] are one-line loops over it; to honor the knobs of
+//! a module's [`PipelineOptions`], pass them to [`Runner::with_opts`].
 //!
 //! # Engine selection
 //!
@@ -22,7 +23,7 @@
 //!
 //! [`PipelineOptions`]: instencil_core::pipeline::PipelineOptions
 
-use instencil_core::pipeline::{CompiledModule, Engine};
+use instencil_core::pipeline::Engine;
 use instencil_ir::Module;
 use instencil_obs::{Obs, RunReport};
 use instencil_pattern::dataflow::Scheduler;
@@ -76,9 +77,8 @@ pub struct Runner<'m> {
 /// the host's available parallelism. Oversubscribing wavefront workers
 /// is never useful here: the workers are CPU-bound and barrier- or
 /// steal-coupled, so extra OS threads on the same cores only add
-/// context-switch latency to every level/in-degree handoff (this is
-/// exactly the inverse-scaling pathology BENCH_exec.json showed on
-/// single-core hosts: 621 -> 1174 ns/point from 1 to 8 "threads").
+/// context-switch latency to every level/in-degree handoff (measured on
+/// a single-core host: 621 -> 1174 ns/point from 1 to 8 "threads").
 /// This is the single place the sentinel and the clamp are applied;
 /// the engines and [`WavefrontPool`](crate::parallel::WavefrontPool)
 /// run whatever count they are given, so tests can still exercise true
@@ -407,8 +407,8 @@ impl Drop for SweepBatch<'_, '_> {
 }
 
 /// Runs `func` of `module` for `iterations` sweeps over the given
-/// buffers (passed as memref arguments each sweep). Returns accumulated
-/// execution statistics.
+/// buffers (passed as memref arguments each sweep) on one thread of the
+/// default engine. Returns accumulated execution statistics.
 ///
 /// # Errors
 /// Propagates engine failures.
@@ -418,44 +418,21 @@ pub fn run_sweeps(
     buffers: &[BufferView],
     iterations: usize,
 ) -> Result<ExecStats, ExecError> {
-    run_sweeps_threaded(module, func, buffers, iterations, 1)
+    run_sweeps_opts(
+        module,
+        func,
+        buffers,
+        iterations,
+        1,
+        Engine::default(),
+        Scheduler::Levels,
+    )
 }
 
-/// [`run_sweeps`] with `scf.execute_wavefronts` levels spread over
-/// `threads` OS threads. Results are bit-identical to `threads == 1`
-/// (sub-domains within a wavefront level are independent), and so are
-/// the returned statistics.
-///
-/// # Errors
-/// Propagates engine failures.
-pub fn run_sweeps_threaded(
-    module: &Module,
-    func: &str,
-    buffers: &[BufferView],
-    iterations: usize,
-    threads: usize,
-) -> Result<ExecStats, ExecError> {
-    run_sweeps_with(module, func, buffers, iterations, threads, Engine::default())
-}
-
-/// [`run_sweeps_threaded`] with an explicit engine choice.
-///
-/// # Errors
-/// Propagates engine failures.
-pub fn run_sweeps_with(
-    module: &Module,
-    func: &str,
-    buffers: &[BufferView],
-    iterations: usize,
-    threads: usize,
-    engine: Engine,
-) -> Result<ExecStats, ExecError> {
-    run_sweeps_opts(module, func, buffers, iterations, threads, engine, Scheduler::Levels)
-}
-
-/// [`run_sweeps_with`] with an explicit wavefront [`Scheduler`]. Results
-/// and statistics are bit-identical across schedulers (enforced by
-/// `tests/engine_equiv.rs`); only wall-clock time changes.
+/// [`run_sweeps`] with an explicit worker count, engine and wavefront
+/// [`Scheduler`]. Results and statistics are bit-identical across all
+/// three (enforced by `tests/engine_equiv.rs`); only wall-clock time
+/// changes.
 ///
 /// # Errors
 /// Propagates engine failures.
@@ -477,62 +454,6 @@ pub fn run_sweeps_opts(
     }
     batch.finish()?;
     Ok(runner.stats())
-}
-
-/// Runs sweeps of a compiled module, honoring the `threads` and `engine`
-/// knobs of the [`PipelineOptions`](instencil_core::pipeline::PipelineOptions)
-/// it was compiled with.
-///
-/// # Errors
-/// Propagates engine failures.
-pub fn run_compiled_sweeps(
-    compiled: &CompiledModule,
-    func: &str,
-    buffers: &[BufferView],
-    iterations: usize,
-) -> Result<ExecStats, ExecError> {
-    let runner = run_compiled_runner(compiled, func, buffers, iterations)?;
-    Ok(runner.stats())
-}
-
-/// [`run_compiled_sweeps`] that additionally renders the full
-/// [`RunReport`]: pipeline pass spans recorded while `compiled` was
-/// built, engine compile/execute split, wavefront timelines, events and
-/// the [`ExecStats`] counters. With `obs: ObsLevel::Off` in the
-/// pipeline options this is exactly [`RunReport::default`].
-///
-/// # Errors
-/// Propagates engine failures.
-pub fn run_compiled_report(
-    compiled: &CompiledModule,
-    func: &str,
-    buffers: &[BufferView],
-    iterations: usize,
-) -> Result<RunReport, ExecError> {
-    let runner = run_compiled_runner(compiled, func, buffers, iterations)?;
-    Ok(runner.report())
-}
-
-/// Shared driver loop: binds a runner to the module's own collector
-/// (the one its pipeline passes were recorded into) and runs the sweeps.
-fn run_compiled_runner<'m>(
-    compiled: &'m CompiledModule,
-    func: &str,
-    buffers: &[BufferView],
-    iterations: usize,
-) -> Result<Runner<'m>, ExecError> {
-    let mut runner = Runner::with_opts(
-        &compiled.module,
-        compiled.options.engine,
-        compiled.options.threads,
-        compiled.options.scheduler,
-        compiled.obs.clone(),
-    )?;
-    for _ in 0..iterations {
-        let args: Vec<RtVal> = buffers.iter().cloned().map(RtVal::Buf).collect();
-        runner.call(func, args)?;
-    }
-    Ok(runner)
 }
 
 /// Runs alternating-buffer sweeps for out-of-place kernels (Jacobi):
@@ -624,7 +545,31 @@ pub fn run_until_converged(
 mod tests {
     use super::*;
     use instencil_core::kernels;
-    use instencil_core::pipeline::reference_module;
+    use instencil_core::pipeline::{reference_module, CompiledModule};
+
+    /// Runs `iterations` eager sweeps of `compiled` on a [`Runner`] bound
+    /// to the engine, thread and scheduler knobs it was compiled with.
+    fn sweep_compiled(
+        compiled: &CompiledModule,
+        func: &str,
+        buffers: &[BufferView],
+        iterations: usize,
+    ) -> ExecStats {
+        let o = &compiled.options;
+        let mut runner = Runner::with_opts(
+            &compiled.module,
+            o.engine,
+            o.threads,
+            o.scheduler,
+            Obs::off(),
+        )
+        .unwrap();
+        for _ in 0..iterations {
+            let args: Vec<RtVal> = buffers.iter().cloned().map(RtVal::Buf).collect();
+            runner.call(func, args).unwrap();
+        }
+        runner.stats()
+    }
 
     #[test]
     fn run_sweeps_mutates_in_place() {
@@ -705,9 +650,9 @@ mod tests {
         )
         .unwrap();
         let (ws, bs) = init(&());
-        let stats_seq = run_compiled_sweeps(&seq, "gs5", &[ws.clone(), bs], 2).unwrap();
+        let stats_seq = sweep_compiled(&seq, "gs5", &[ws.clone(), bs], 2);
         let (wp, bp) = init(&());
-        let stats_par = run_compiled_sweeps(&par, "gs5", &[wp.clone(), bp], 2).unwrap();
+        let stats_par = sweep_compiled(&par, "gs5", &[wp.clone(), bp], 2);
         assert_eq!(ws.to_vec(), wp.to_vec(), "bit-identical across engines");
         assert_eq!(stats_seq, stats_par, "engine- and thread-invariant stats");
         assert!(stats_par.wavefront_levels > 0);
@@ -761,9 +706,9 @@ mod tests {
         )
         .unwrap();
         let (wl, bl) = init();
-        let stats_l = run_compiled_sweeps(&levels, "gs5", &[wl.clone(), bl], 3).unwrap();
+        let stats_l = sweep_compiled(&levels, "gs5", &[wl.clone(), bl], 3);
         let (wd, bd) = init();
-        let stats_d = run_compiled_sweeps(&dataflow, "gs5", &[wd.clone(), bd], 3).unwrap();
+        let stats_d = sweep_compiled(&dataflow, "gs5", &[wd.clone(), bd], 3);
         assert_eq!(wl.to_vec(), wd.to_vec(), "bit-identical across schedulers");
         assert_eq!(stats_l, stats_d, "scheduler-invariant statistics");
         assert!(stats_d.wavefront_levels > 0);

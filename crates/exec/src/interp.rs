@@ -13,11 +13,12 @@
 //!
 //! The interpreter is split into a read-only compiled view ([`ExecCtx`]:
 //! the module plus a [`WavefrontPool`]) and per-thread execution frames
-//! ([`Frame`]: the dynamic statistics). With
-//! [`Interpreter::with_threads`] `> 1`, `scf.execute_wavefronts` runs
-//! each wavefront level across real OS threads through the pool —
-//! "a sequential for loop iterating over groups that contains a parallel
-//! for loop" (paper §3.4). The Eq. (3) schedule guarantees sub-domains
+//! ([`Frame`]: the dynamic statistics). `scf.execute_wavefronts` runs
+//! through the pool at every thread count, level by level — "a
+//! sequential for loop iterating over groups that contains a parallel
+//! for loop" (paper §3.4) — or, under [`Scheduler::Dataflow`], as the
+//! pool's graph drain; [`Interpreter::with_threads`] `> 1` spreads it
+//! across real OS threads. The Eq. (3) schedule guarantees sub-domains
 //! within a level are independent, so parallel execution is bit-identical
 //! to sequential execution; each worker accumulates a private `Frame`
 //! that the coordinator merges, so statistics are thread-count-invariant
@@ -33,10 +34,10 @@ use instencil_obs::Obs;
 use instencil_ir::body::ValueDef;
 use instencil_ir::{Attribute, Body, Module, OpCode, OpId, RegionId, Type, ValueId};
 use instencil_pattern::dataflow::{self, Scheduler};
-use instencil_pattern::{blockdeps, CsrWavefronts, Sweep};
+use instencil_pattern::{blockdeps, Sweep};
 
 use crate::buffer::BufferView;
-use crate::parallel::WavefrontPool;
+use crate::parallel::{self, WavefrontPool};
 use crate::stats::ExecStats;
 use crate::value::RtVal;
 
@@ -477,144 +478,38 @@ impl ExecCtx<'_> {
                     RtVal::I64Arr(a) => a,
                     other => return Err(ExecError::new(format!("cols {other:?}"))),
                 };
-                // Dataflow execution needs the block dependence graph,
-                // recovered by Arc identity from the transport `cols`
-                // produced by `cfd.get_parallel_blocks` (see
-                // `instencil_pattern::dataflow::lookup_by_cols`). A miss
-                // (cols not minted by the bundle cache) falls back to
-                // level execution and says so in the obs event stream.
-                // Taken at one thread too — the inline dataflow sweep
-                // skips the CSR level indirection entirely.
-                let bundle = if self.pool.scheduler() == Scheduler::Dataflow {
-                    let hit = dataflow::lookup_by_cols(&cols);
-                    if hit.is_none() {
-                        self.pool
-                            .obs()
-                            .event("dataflow-fallback", "cols not from schedule cache");
-                    }
-                    hit
-                } else {
-                    None
-                };
-                if let Some(bundle) = bundle {
-                    // Levels are counted from the CSR row pointer even
-                    // though no barrier separates them at run time, so
-                    // statistics stay scheduler-invariant.
-                    frame.stats.wavefront_levels += (rows.len() - 1) as u64;
-                    let region = op.regions[0];
-                    let base_env: Env = env.clone();
-                    self.pool.try_execute_bundle(
-                        &bundle,
-                        || (base_env.clone(), Frame::default()),
-                        |state: &mut (Env, Frame), block| {
-                            let (worker_env, worker_frame) = state;
-                            worker_frame.stats.blocks_executed += 1;
-                            self.eval_region(
-                                body,
-                                region,
-                                &[RtVal::Int(block as i64)],
-                                worker_env,
-                                worker_frame,
-                            )
-                            .map(|_| ())
-                        },
-                        |(_, worker_frame)| frame.stats.merge(&worker_frame.stats),
-                    )?;
-                } else if self.pool.threads() == 1 {
-                    let obs = self.pool.obs();
-                    let record = obs.enabled();
-                    let detail = obs.detail_enabled();
-                    let mut level_records = Vec::new();
-                    let mut run_level = |index: usize,
-                                         level: &[i64],
-                                         env: &mut Env,
-                                         frame: &mut Frame|
-                     -> Result<(), ExecError> {
-                        let checker = crate::buffer::overlap::LevelChecker::new();
-                        let t0 = record.then(std::time::Instant::now);
-                        let mut done = 0u64;
-                        frame.stats.wavefront_levels += 1;
-                        let mut outcome = Ok(());
-                        for &c in &cols[level[0] as usize..level[1] as usize] {
-                            frame.stats.blocks_executed += 1;
-                            done += 1;
-                            let _wg = checker.guard(c as usize);
-                            if let Err(e) = self
-                                .eval_region(body, op.regions[0], &[RtVal::Int(c)], env, frame)
-                            {
-                                outcome = Err(e);
-                                break;
-                            }
-                        }
-                        if let Some(t0) = t0 {
-                            let wall_ns = t0.elapsed().as_nanos() as u64;
-                            level_records.push(instencil_obs::LevelRecord {
-                                index,
-                                blocks: (level[1] - level[0]) as u64,
-                                wall_ns,
-                                workers: if detail {
-                                    vec![instencil_obs::WorkerRecord {
-                                        busy_ns: wall_ns,
-                                        blocks: done,
-                                        ..instencil_obs::WorkerRecord::default()
-                                    }]
-                                } else {
-                                    Vec::new()
-                                },
-                            });
-                        }
-                        outcome
-                    };
-                    let mut outcome = Ok(());
-                    for (index, level) in rows.windows(2).enumerate() {
-                        if let Err(e) = run_level(index, level, env, frame) {
-                            outcome = Err(e);
-                            break;
-                        }
-                    }
-                    if record {
-                        obs.record_wavefronts(instencil_obs::WavefrontRecord {
-                            threads: 1,
-                            scheduler: Scheduler::Levels.name().to_owned(),
-                            sweeps: 1,
-                            levels: level_records,
-                        });
-                    }
-                    outcome?;
-                } else {
-                    let row_ptr: Vec<usize> = rows.iter().map(|&x| x as usize).collect();
-                    let blocks: Vec<usize> = cols.iter().map(|&x| x as usize).collect();
-                    let schedule = CsrWavefronts::new(row_ptr, blocks);
-                    // The coordinator counts levels — once per level
-                    // regardless of how many workers ran it — so stats
-                    // are identical across thread counts. Workers count
-                    // the blocks (and ops) they execute in private
-                    // frames, merged below.
-                    frame.stats.wavefront_levels += schedule.num_levels() as u64;
-                    let region = op.regions[0];
-                    // Each worker gets a clone of the environment:
-                    // region-local SSA values are written per block but
-                    // never read across blocks (dominance), so discarding
-                    // the clones afterwards matches sequential semantics.
-                    let base_env: Env = env.clone();
-                    self.pool.try_execute_stateful(
-                        &schedule,
-                        || (base_env.clone(), Frame::default()),
-                        |state: &mut (Env, Frame), block| {
-                            let (worker_env, worker_frame) = state;
-                            worker_frame.stats.blocks_executed += 1;
-                            self.eval_region(
-                                body,
-                                region,
-                                &[RtVal::Int(block as i64)],
-                                worker_env,
-                                worker_frame,
-                            )
-                            .map(|_| ())
-                        },
-                        |(_, worker_frame)| frame.stats.merge(&worker_frame.stats),
-                    )?;
-                }
+                // The coordinator counts levels — once per level
+                // regardless of scheduler or how many workers ran it — so
+                // stats are identical across thread counts. Workers count
+                // the blocks (and ops) they execute in private frames,
+                // merged below.
+                frame.stats.wavefront_levels += (rows.len() - 1) as u64;
+                let region = op.regions[0];
+                // Each worker gets a clone of the environment:
+                // region-local SSA values are written per block but never
+                // read across blocks (dominance), so discarding the clones
+                // afterwards matches sequential semantics.
+                let base_env: &Env = env;
+                parallel::execute_wavefronts(
+                    &self.pool,
+                    &rows,
+                    &cols,
+                    1,
+                    || (base_env.clone(), Frame::default()),
+                    |state: &mut (Env, Frame), block| {
+                        let (worker_env, worker_frame) = state;
+                        worker_frame.stats.blocks_executed += 1;
+                        self.eval_region(
+                            body,
+                            region,
+                            &[RtVal::Int(block as i64)],
+                            worker_env,
+                            worker_frame,
+                        )
+                        .map(|_| ())
+                    },
+                    |(_, worker_frame)| frame.stats.merge(&worker_frame.stats),
+                )?;
             }
             OpCode::CfdGetParallelBlocks => {
                 let grid: Vec<usize> = op

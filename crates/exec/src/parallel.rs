@@ -1,40 +1,44 @@
 //! Real multithreaded wavefront execution.
 //!
-//! [`WavefrontPool`] executes a block schedule with genuine OS threads,
-//! under one of two synchronization disciplines selected by
-//! [`Scheduler`]:
+//! [`WavefrontPool`] executes a block schedule with genuine OS threads
+//! through exactly two entry points, one per synchronization discipline:
 //!
-//! * **Levels** — the §3.4 lowering as written: a sequential loop over
-//!   wavefront levels with the level's sub-domain indices split across
-//!   the workers and a barrier between consecutive levels. The pool is
-//!   *persistent*: workers are spawned once per run and synchronize on a
-//!   lightweight [`std::sync::Barrier`], not respawned per level.
-//! * **Dataflow** — point-to-point execution of the block dependence
-//!   graph ([`BlockGraph`]), coarsened into [`TaskGraph`] tasks: chains
-//!   of consecutive small blocks fuse into single scheduled units so the
-//!   atomic in-degree traffic and deque locking amortize over real work
-//!   (the machine model's [`Machine::dataflow_grain`] picks the fusion
-//!   grain). Each worker drains a ready-set of tasks, decrements
-//!   successor in-degrees with atomics, and routes newly-ready tasks to
-//!   their *owning* worker's deque — ownership is a stable contiguous
-//!   shard of the flat index space ([`shard_owner`]), so lexicographic
-//!   neighbors stay on one core across levels and sweeps. An idle
-//!   worker steals along a NUMA-near-first rotated peer order derived
-//!   from the [`Machine`] topology, and backs off (bounded spin, then
-//!   exponential sleep) when the whole pool runs dry. The Release half
-//!   of the in-degree `fetch_sub` and the Acquire half performed by the
-//!   final decrementer form a happens-before chain from every
-//!   predecessor's buffer writes to the successor's execution, replacing
-//!   the barrier's publication role (see `DESIGN.md` §4f/§4g).
+//! * [`WavefrontPool::try_execute_stateful`] — **levels**, the §3.4
+//!   lowering as written: a sequential loop over wavefront levels with
+//!   the level's sub-domain indices split across the workers and a
+//!   barrier between consecutive levels. The pool is *persistent*:
+//!   workers are spawned once per run and synchronize on a lightweight
+//!   [`std::sync::Barrier`], not respawned per level. This is the
+//!   default scheduler and the oracle the graph drain is tested against.
+//! * [`WavefrontPool::try_execute_sweep_batch`] — the **graph drain** of
+//!   `k ≥ 1` in-place sweeps over the sweep-extended block dependence
+//!   graph ([`SweepGraph`]); eager [`Scheduler::Dataflow`] execution is
+//!   the `k = 1` chain (OPS-style: one lazy loop-chain executor, eager
+//!   execution its length-1 case). Blocks are coarsened into
+//!   [`TaskGraph`](instencil_pattern::dataflow::TaskGraph) tasks: chains of consecutive small blocks fuse into
+//!   single scheduled units so the atomic in-degree traffic and deque
+//!   locking amortize over real work (the machine model's
+//!   [`Machine::dataflow_grain`] picks the fusion grain). Each worker
+//!   drains a ready-set of nodes, decrements successor in-degrees with
+//!   atomics, and routes newly-ready nodes to their *owning* worker's
+//!   deque — ownership is a stable contiguous shard of the task index
+//!   space ([`shard_owner`]), so lexicographic neighbors stay on one core
+//!   across sweeps. An idle worker steals along a NUMA-near-first rotated
+//!   peer order derived from the [`Machine`] topology, and backs off
+//!   (bounded spin, then exponential sleep) when the whole pool runs dry.
+//!   The Release half of the in-degree `fetch_sub` and the Acquire half
+//!   performed by the final decrementer form a happens-before chain from
+//!   every predecessor's buffer writes to the successor's execution,
+//!   replacing the barrier's publication role (see `DESIGN.md`
+//!   §4f/§4g/§4j).
 //!
-//! The pool runs closures over *linearized sub-domain indices*. It has
-//! four entry points: [`WavefrontPool::execute`] for stateless workers,
-//! [`WavefrontPool::try_execute_stateful`] (level mode) and
-//! [`WavefrontPool::try_execute_dataflow`] /
-//! [`WavefrontPool::try_execute_bundle`] (graph mode), the stateful ones
-//! giving each worker private state (the interpreter uses this to run
-//! `scf.execute_wavefronts` bodies with a per-thread environment and
-//! statistics frame) and propagating the first error.
+//! Both run closures over *linearized sub-domain indices* with private
+//! per-worker state (the engines run `scf.execute_wavefronts` bodies
+//! with a per-thread register file or environment and statistics frame),
+//! merge every worker's state on the calling thread, and propagate the
+//! first error and any worker panic.
+//!
+//! [`SweepGraph`]: instencil_pattern::dataflow::SweepGraph
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
@@ -45,7 +49,7 @@ use std::time::{Duration, Instant};
 use instencil_machine::topology::{xeon_6152_dual, Machine};
 use instencil_obs::trace::{self, TraceKind};
 use instencil_obs::{LevelRecord, Obs, WavefrontRecord, WorkerRecord};
-use instencil_pattern::dataflow::{shard_owner, BlockGraph, ScheduleBundle, Scheduler, TaskGraph};
+use instencil_pattern::dataflow::{self, shard_owner, BlockGraph, ScheduleBundle, Scheduler};
 use instencil_pattern::CsrWavefronts;
 
 use crate::buffer::overlap;
@@ -150,31 +154,6 @@ impl WavefrontPool {
         self.scheduler
     }
 
-    /// Executes `work` for every scheduled sub-domain, level by level.
-    /// Within a level the indices are split into contiguous chunks, one
-    /// per worker; levels are separated by a barrier.
-    ///
-    /// # Panics
-    /// Propagates panics from worker closures.
-    pub fn execute<F>(&self, schedule: &CsrWavefronts, work: F)
-    where
-        F: Fn(usize) + Sync,
-    {
-        let result: Result<(), std::convert::Infallible> = self.try_execute_stateful(
-            schedule,
-            || (),
-            |(), b| {
-                work(b);
-                Ok(())
-            },
-            |()| {},
-        );
-        match result {
-            Ok(()) => {}
-            Err(never) => match never {},
-        }
-    }
-
     /// Executes a fallible `work` closure over every scheduled sub-domain
     /// with per-worker state, level by level.
     ///
@@ -232,7 +211,7 @@ impl WavefrontPool {
                         outcome = Err(e);
                         done += 1; // the failing block still ran
                         trace::end(TraceKind::Task, ts, index as u32, done as u32);
-                        self.push_level(&mut level_records, index, level.len(), t0, detail, vec![done]);
+                        self.push_level(&mut level_records, index, level.len(), t0, detail, done);
                         break 'levels;
                     }
                     done += 1;
@@ -241,7 +220,7 @@ impl WavefrontPool {
                     if done > 0 {
                         trace::end(TraceKind::Task, ts, index as u32, done as u32);
                     }
-                    self.push_level(&mut level_records, index, level.len(), t0, detail, vec![done]);
+                    self.push_level(&mut level_records, index, level.len(), t0, detail, done);
                 }
             }
             merge(state);
@@ -425,336 +404,39 @@ impl WavefrontPool {
         self.machine.dataflow_grain(graph.num_blocks(), inner, self.threads)
     }
 
-    /// Executes a fallible `work` closure over every block of `graph`
-    /// in dataflow order: each block runs as soon as all its
-    /// predecessors have finished, with no level barriers.
-    ///
-    /// The graph is first coarsened into a [`TaskGraph`] at the
-    /// machine-derived grain; prefer
-    /// [`try_execute_bundle`](Self::try_execute_bundle) when a
-    /// [`ScheduleBundle`] is at hand (it memoizes the coarsened graph
-    /// across sweeps).
-    ///
-    /// State and merge semantics match
-    /// [`try_execute_stateful`](Self::try_execute_stateful); under
-    /// concurrency "first error" is the first one *observed*, which is
-    /// deterministic only at one thread.
-    ///
-    /// # Errors
-    /// Returns the first observed error produced by `work`.
-    ///
-    /// # Panics
-    /// Propagates panics from worker closures (original payload).
-    pub fn try_execute_dataflow<S, E, I, W, M>(
-        &self,
-        graph: &BlockGraph,
-        init: I,
-        work: W,
-        merge: M,
-    ) -> Result<(), E>
-    where
-        S: Send,
-        E: Send,
-        I: Fn() -> S + Sync,
-        W: Fn(&mut S, usize) -> Result<(), E> + Sync,
-        M: FnMut(S),
-    {
-        let tasks = TaskGraph::build(graph, self.grain_for(graph));
-        self.try_execute_tasks(graph, &tasks, init, work, merge)
-    }
-
-    /// Dataflow execution through a [`ScheduleBundle`]: like
-    /// [`try_execute_dataflow`](Self::try_execute_dataflow) but the
-    /// coarsened task graph comes from the bundle's per-grain memo, so
-    /// solver iterations re-running the same schedule do not rebuild it.
-    ///
-    /// # Errors
-    /// Returns the first observed error produced by `work`.
-    pub fn try_execute_bundle<S, E, I, W, M>(
-        &self,
-        bundle: &ScheduleBundle,
-        init: I,
-        work: W,
-        merge: M,
-    ) -> Result<(), E>
-    where
-        S: Send,
-        E: Send,
-        I: Fn() -> S + Sync,
-        W: Fn(&mut S, usize) -> Result<(), E> + Sync,
-        M: FnMut(S),
-    {
-        let tasks = bundle.task_graph(self.grain_for(&bundle.graph));
-        self.try_execute_tasks(&bundle.graph, &tasks, init, work, merge)
-    }
-
-    /// The dataflow engine proper, over a coarsened task partition.
-    ///
-    /// Worker `w` owns a deque of ready *tasks* (each a chain of up to
-    /// `grain` consecutive blocks, executed in ascending flat order).
-    /// Finishing a task decrements each successor task's in-degree
-    /// (`fetch_sub(1, AcqRel)`); the worker that takes an in-degree to
-    /// zero routes the newly-ready task: the first one is kept in hand
-    /// (work-first — never go idle while shipping work away; it is also
-    /// the lexicographically smallest, whose recurrence stripe this
-    /// worker just touched), surplus tasks go to their *owner*'s deque,
-    /// where ownership is the stable contiguous shard map
-    /// ([`shard_owner`]) that also seeded the roots. An idle worker
-    /// first drains its own deque from the back (LIFO keeps the
-    /// footprint warm), then steals from the front of its peers' deques
-    /// in the machine's NUMA-near-first rotated order, then backs off —
-    /// [`SPIN_ROUNDS`] yields, then exponential sleep capped at
-    /// [`MAX_PARK_US`] — until every task has retired. The atomic
-    /// read-modify-write chain on the in-degree carries the
-    /// happens-before edge from every predecessor's buffer writes to
-    /// the successor's execution, replacing the level barrier
-    /// (DESIGN.md §4g).
-    fn try_execute_tasks<S, E, I, W, M>(
-        &self,
-        graph: &BlockGraph,
-        tasks: &TaskGraph,
-        init: I,
-        work: W,
-        mut merge: M,
-    ) -> Result<(), E>
-    where
-        S: Send,
-        E: Send,
-        I: Fn() -> S + Sync,
-        W: Fn(&mut S, usize) -> Result<(), E> + Sync,
-        M: FnMut(S),
-    {
-        let n = graph.num_blocks();
-        if n == 0 {
-            return Ok(());
-        }
-        let record = self.obs.enabled();
-        let detail = self.obs.detail_enabled();
-        let checker = overlap::GraphChecker::new(graph);
-        if self.threads == 1 {
-            // Ascending flat order is a topological order: every
-            // predecessor of a block has a smaller flat index (all
-            // dependence offsets are lexicographically negative).
-            let _tg = trace::install(self.obs.worker_tracer(0));
-            let t0 = record.then(Instant::now);
-            let ts = trace::begin();
-            let mut state = init();
-            let mut outcome = Ok(());
-            let mut done = 0u64;
-            for b in 0..n {
-                let _wg = checker.guard(b);
-                done += 1;
-                if let Err(e) = work(&mut state, b) {
-                    outcome = Err(e);
-                    break;
-                }
-            }
-            trace::end(TraceKind::Task, ts, 0, done as u32);
-            merge(state);
-            if let Some(t0) = t0 {
-                self.flush_dataflow(
-                    1,
-                    n,
-                    1,
-                    t0.elapsed().as_nanos() as u64,
-                    detail.then(|| {
-                        vec![WorkerStats {
-                            busy_ns: t0.elapsed().as_nanos() as u64,
-                            blocks: done,
-                            ..WorkerStats::default()
-                        }]
-                    }),
-                );
-            }
-            return outcome;
-        }
-
-        // No point spawning more workers than tasks: the surplus would
-        // only spin on empty deques until the run retires.
-        let n_tasks = tasks.num_tasks();
-        let threads = self.threads.min(n_tasks);
-        let indeg: Vec<AtomicU32> =
-            (0..n_tasks).map(|t| AtomicU32::new(tasks.in_degree(t))).collect();
-        let remaining = AtomicUsize::new(n_tasks);
-        let deques: Vec<Mutex<std::collections::VecDeque<u32>>> = (0..threads)
-            .map(|_| Mutex::new(std::collections::VecDeque::new()))
-            .collect();
-        // Seed each worker's deque with its own contiguous shard of the
-        // ready roots (task indices ascend with flat block order, so
-        // shard neighbors are lexicographic neighbors).
-        for r in tasks.roots() {
-            deques[shard_owner(r as usize, n_tasks, threads)]
-                .lock()
-                .unwrap()
-                .push_back(r);
-        }
-        // NUMA-near-first rotated peer scan per worker, from the model.
-        let steal_orders: Vec<Vec<usize>> =
-            (0..threads).map(|w| self.machine.steal_order(w, threads)).collect();
-        let abort = AtomicBool::new(false);
-        let panic_slot: Mutex<Option<PanicPayload>> = Mutex::new(None);
-        let first_err: Mutex<Option<E>> = Mutex::new(None);
-        let init = &init;
-        let work = &work;
-        let checker = &checker;
-        let steal_orders = &steal_orders;
-
-        let worker_loop = |w: usize| -> (S, WorkerStats) {
-            let _tg = trace::install(self.obs.worker_tracer(w as u32));
-            let mut state = init();
-            let mut my_next: Option<u32> = None;
-            let mut st = WorkerStats::default();
-            let mut idle_rounds = 0u32;
-            loop {
-                if abort.load(Ordering::Acquire) {
-                    break;
-                }
-                // Local first: the task kept in hand, then the back of
-                // the own deque (LIFO keeps the footprint warm).
-                let mut task = my_next
-                    .take()
-                    .or_else(|| deques[w].lock().unwrap().pop_back());
-                if task.is_none() {
-                    // Steal from the front of a peer's deque (FIFO:
-                    // take the work its owner would reach last),
-                    // nearest peers first.
-                    for (dist, &other) in steal_orders[w].iter().enumerate() {
-                        if let Some(t) = deques[other].lock().unwrap().pop_front() {
-                            st.steals += 1;
-                            st.steal_dist += dist as u64 + 1;
-                            trace::instant(TraceKind::Steal, other as u32, dist as u32 + 1);
-                            task = Some(t);
-                            break;
-                        }
-                    }
-                }
-                let Some(t) = task else {
-                    if remaining.load(Ordering::Acquire) == 0 {
-                        break;
-                    }
-                    // Bounded spin, then exponential backoff: an empty
-                    // scan means the pipeline is momentarily narrower
-                    // than the pool, and hammering peer deque locks
-                    // only slows the workers that do hold work.
-                    idle_rounds += 1;
-                    if idle_rounds <= SPIN_ROUNDS {
-                        thread::yield_now();
-                    } else {
-                        let exp = u64::from(idle_rounds - SPIN_ROUNDS).min(6);
-                        let ts = trace::begin();
-                        thread::sleep(Duration::from_micros((1 << exp).min(MAX_PARK_US)));
-                        trace::end(TraceKind::Park, ts, idle_rounds, 0);
-                    }
-                    continue;
-                };
-                idle_rounds = 0;
-                let t = t as usize;
-                let range = tasks.blocks_of(t);
-                let chain = range.len() as u64;
-                let t0 = detail.then(Instant::now);
-                let ts = trace::begin();
-                let mut ran = 0u64;
-                let outcome = catch_unwind(AssertUnwindSafe(|| -> Result<(), E> {
-                    for b in range {
-                        let _wg = checker.guard(b);
-                        work(&mut state, b)?;
-                        ran += 1;
-                    }
-                    Ok(())
-                }));
-                trace::end(TraceKind::Task, ts, t as u32, ran as u32);
-                match outcome {
-                    Ok(Ok(())) => {
-                        if let Some(t0) = t0 {
-                            st.busy_ns += t0.elapsed().as_nanos() as u64;
-                        }
-                        st.blocks += ran;
-                        st.fused += chain - 1;
-                        // Successors ascend, so the first task this
-                        // worker readies is the lexicographically
-                        // smallest — keep it in hand (work-first);
-                        // route the surplus to its owning worker.
-                        for &s in tasks.successors(t) {
-                            if indeg[s as usize].fetch_sub(1, Ordering::AcqRel) == 1 {
-                                if my_next.is_none() {
-                                    my_next = Some(s);
-                                } else {
-                                    let owner = shard_owner(s as usize, n_tasks, threads);
-                                    deques[owner].lock().unwrap().push_back(s);
-                                }
-                            }
-                        }
-                        remaining.fetch_sub(1, Ordering::Release);
-                    }
-                    Ok(Err(e)) => {
-                        st.blocks += ran;
-                        let mut slot = first_err.lock().unwrap();
-                        if slot.is_none() {
-                            *slot = Some(e);
-                        }
-                        abort.store(true, Ordering::Release);
-                    }
-                    Err(payload) => {
-                        st.blocks += ran;
-                        let mut slot = panic_slot.lock().unwrap();
-                        if slot.is_none() {
-                            *slot = Some(payload);
-                        }
-                        abort.store(true, Ordering::Release);
-                    }
-                }
-            }
-            (state, st)
-        };
-
-        let t0 = record.then(Instant::now);
-        let mut results: Vec<(S, WorkerStats)> = Vec::with_capacity(threads);
-        thread::scope(|s| {
-            let handles: Vec<_> = (1..threads)
-                .map(|w| s.spawn(move || worker_loop(w)))
-                .collect();
-            results.push(worker_loop(0));
-            for h in handles {
-                results.push(h.join().unwrap_or_else(|p| resume_unwind(p)));
-            }
-        });
-        let wall_ns = t0.map_or(0, |t| t.elapsed().as_nanos() as u64);
-        let workers = detail.then(|| results.iter().map(|&(_, st)| st).collect::<Vec<_>>());
-        for (state, ..) in results {
-            merge(state);
-        }
-        if let Some(payload) = panic_slot.into_inner().unwrap() {
-            resume_unwind(payload);
-        }
-        if record {
-            self.flush_dataflow(threads, n, 1, wall_ns, workers);
-        }
-        match first_err.into_inner().unwrap() {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
-    }
-
-    /// Fused execution of `sweeps` identical in-place sweeps as one
-    /// dataflow drain over the sweep-extended dependence graph
-    /// ([`instencil_pattern::dataflow::SweepGraph`]): node `(s, t)` is
-    /// task `t` of sweep `s`, with
+    /// Executes `sweeps ≥ 1` identical in-place sweeps as one dataflow
+    /// drain over the sweep-extended dependence graph
+    /// ([`SweepGraph`](instencil_pattern::dataflow::SweepGraph)): node
+    /// `(s, t)` is task `t` of sweep `s` (a chain of up to `grain`
+    /// consecutive blocks at the machine-derived coarsening grain), with
     /// the usual intra-sweep task edges plus cross-sweep edges from
     /// `{t} ∪ pred(t)` of sweep `s` into `(s+1, ·)` — block `b` of
     /// sweep `s+1` may start as soon as its own lex-forward
     /// neighborhood of sweep `s` has retired, long before sweep `s`
-    /// finishes. `work` receives `(state, sweep, block)`.
+    /// finishes. `work` receives `(state, sweep, block)`. At
+    /// `sweeps == 1` this is eager dataflow execution: each block runs
+    /// as soon as all its predecessors have finished, with no level
+    /// barriers, and the run is recorded and traced as an untagged
+    /// eager sweep.
     ///
     /// Always drains dataflow-style regardless of the pool's
     /// [`Scheduler`] knob (a level barrier would serialize the sweeps
-    /// and defeat the batching). At one thread the drain keeps the
-    /// first task each retirement readies *in hand* and decrements
-    /// cross-sweep successors before intra-sweep ones, so execution
-    /// descends the temporal diagonal `(t, s) → (t', s+1)` while the
-    /// stripe's working set is still cache-resident. Multi-thread, the
-    /// eager worker loop is reused with nodes sharded by *task index*
-    /// ([`shard_owner`] over tasks, not nodes), keeping every sweep of
-    /// a stripe on the worker that owns it.
+    /// and defeat the batching). Finishing a node decrements each
+    /// successor's in-degree; the worker that takes an in-degree to zero
+    /// keeps the first such node *in hand* (work-first — it is also the
+    /// lexicographically smallest, whose stripe this worker just
+    /// touched) and routes the surplus to its *owner*, where ownership
+    /// is the stable contiguous shard map over *task index*
+    /// ([`shard_owner`] over tasks, not nodes), keeping every sweep of a
+    /// stripe on the worker that owns it. Cross-sweep successors are
+    /// offered before intra-sweep ones, so execution descends the
+    /// temporal diagonal `(t, s) → (t', s+1)` while the stripe's working
+    /// set is still cache-resident. An idle worker first drains its own
+    /// deque from the back (LIFO keeps the footprint warm), then steals
+    /// from the front of its peers' deques in the machine's
+    /// NUMA-near-first rotated order, then backs off — `SPIN_ROUNDS`
+    /// yields, then exponential sleep capped at `MAX_PARK_US` — until
+    /// every node has retired.
     ///
     /// Within a sweep, blocks of a task run in ascending flat order;
     /// across sweeps the cross edges reproduce the L/U in-place
@@ -762,6 +444,11 @@ impl WavefrontPool {
     /// sweeps back-to-back (see `DESIGN.md` §4j). In debug builds every
     /// buffer store is checked against the sweep-qualified write
     /// intervals of concurrent nodes ([`overlap::SweepChecker`]).
+    ///
+    /// State and merge semantics match
+    /// [`try_execute_stateful`](Self::try_execute_stateful); under
+    /// concurrency "first error" is the first one *observed*, which is
+    /// deterministic only at one thread.
     ///
     /// # Errors
     /// Returns the first observed error produced by `work`; remaining
@@ -796,6 +483,9 @@ impl WavefrontPool {
         let record = self.obs.enabled();
         let detail = self.obs.detail_enabled();
         let checker = overlap::SweepChecker::new(graph, sweeps);
+        // Trace sweep tag: `s + 1` inside a fused batch, 0 for an eager
+        // (k = 1) drain, so eager runs keep the untagged worker lanes.
+        let tag = move |sweep: usize| if sweeps > 1 { sweep as u32 + 1 } else { 0 };
 
         if self.threads == 1 {
             // Readies one successor node: the first task a retirement
@@ -835,14 +525,14 @@ impl WavefrontPool {
                 for b in tasks.blocks_of(task) {
                     let _wg = checker.guard(sweep, b);
                     if let Err(e) = work(&mut state, sweep, b) {
-                        trace::end_sweep(TraceKind::Task, ts, task as u32, ran, sweep as u32 + 1);
+                        trace::end_sweep(TraceKind::Task, ts, task as u32, ran, tag(sweep));
                         outcome = Err(e);
                         break 'drain;
                     }
                     ran += 1;
                 }
                 done += u64::from(ran);
-                trace::end_sweep(TraceKind::Task, ts, task as u32, ran, sweep as u32 + 1);
+                trace::end_sweep(TraceKind::Task, ts, task as u32, ran, tag(sweep));
                 // Cross-sweep successors first: with the in-hand
                 // preference this descends the temporal diagonal —
                 // (t, s) hands off to (t', s+1) with t' ≤ t while the
@@ -879,9 +569,11 @@ impl WavefrontPool {
             return outcome;
         }
 
-        // Multi-thread: the eager worker loop over sweep-extended
+        // Multi-thread: the work-stealing worker loop over sweep-extended
         // nodes. Sharding is by *task* so every sweep of a stripe lands
-        // on the worker whose cache already holds it.
+        // on the worker whose cache already holds it. No point spawning
+        // more workers than tasks: the surplus would only spin on empty
+        // deques until the run retires.
         let threads = self.threads.min(n_tasks);
         let indeg: Vec<AtomicU32> = (0..total)
             .map(|node| {
@@ -893,6 +585,9 @@ impl WavefrontPool {
         let deques: Vec<Mutex<std::collections::VecDeque<u32>>> = (0..threads)
             .map(|_| Mutex::new(std::collections::VecDeque::new()))
             .collect();
+        // Seed each worker's deque with its own contiguous shard of the
+        // ready roots (task indices ascend with flat block order, so
+        // shard neighbors are lexicographic neighbors).
         for r in sgraph.roots() {
             deques[shard_owner(r as usize % n_tasks, n_tasks, threads)]
                 .lock()
@@ -920,10 +615,15 @@ impl WavefrontPool {
                 if abort.load(Ordering::Acquire) {
                     break;
                 }
+                // Local first: the node kept in hand, then the back of
+                // the own deque (LIFO keeps the footprint warm).
                 let mut node = my_next
                     .take()
                     .or_else(|| deques[w].lock().unwrap().pop_back());
                 if node.is_none() {
+                    // Steal from the front of a peer's deque (FIFO: take
+                    // the work its owner would reach last), nearest
+                    // peers first.
                     for (dist, &other) in steal_orders[w].iter().enumerate() {
                         if let Some(t) = deques[other].lock().unwrap().pop_front() {
                             st.steals += 1;
@@ -938,6 +638,10 @@ impl WavefrontPool {
                     if remaining.load(Ordering::Acquire) == 0 {
                         break;
                     }
+                    // Bounded spin, then exponential backoff: an empty
+                    // scan means the pipeline is momentarily narrower
+                    // than the pool, and hammering peer deque locks only
+                    // slows the workers that do hold work.
                     idle_rounds += 1;
                     if idle_rounds <= SPIN_ROUNDS {
                         thread::yield_now();
@@ -964,7 +668,7 @@ impl WavefrontPool {
                     }
                     Ok(())
                 }));
-                trace::end_sweep(TraceKind::Task, ts, task as u32, ran as u32, sweep as u32 + 1);
+                trace::end_sweep(TraceKind::Task, ts, task as u32, ran as u32, tag(sweep));
                 match outcome {
                     Ok(Ok(())) => {
                         if let Some(t0) = t0 {
@@ -978,6 +682,10 @@ impl WavefrontPool {
                         // edge (t, s) → (t, s+1) stays on this worker
                         // by construction of the task-keyed shard map.
                         let mut offer = |x: u32, nd: u32| {
+                            // Release publishes this node's buffer writes;
+                            // the decrement that reaches zero acquires the
+                            // whole RMW chain, so a node runs after every
+                            // predecessor's stores (the barrier's role).
                             if indeg[nd as usize].fetch_sub(1, Ordering::AcqRel) == 1 {
                                 if my_next.is_none() {
                                     my_next = Some(nd);
@@ -1082,8 +790,8 @@ impl WavefrontPool {
         });
     }
 
-    /// Closes one single-thread level record (`blocks_done` holds the
-    /// lone worker's executed-block count).
+    /// Closes one single-thread level record (`blocks_done` is the lone
+    /// worker's executed-block count).
     fn push_level(
         &self,
         records: &mut Vec<LevelRecord>,
@@ -1091,19 +799,16 @@ impl WavefrontPool {
         width: usize,
         t0: Option<Instant>,
         detail: bool,
-        blocks_done: Vec<u64>,
+        blocks_done: u64,
     ) {
         let Some(t0) = t0 else { return };
         let wall_ns = t0.elapsed().as_nanos() as u64;
         let workers = if detail {
-            blocks_done
-                .into_iter()
-                .map(|blocks| WorkerRecord {
-                    busy_ns: wall_ns,
-                    blocks,
-                    ..WorkerRecord::default()
-                })
-                .collect()
+            vec![WorkerRecord {
+                busy_ns: wall_ns,
+                blocks: blocks_done,
+                ..WorkerRecord::default()
+            }]
         } else {
             Vec::new()
         };
@@ -1130,12 +835,87 @@ impl WavefrontPool {
     }
 }
 
+/// Runs the `scf.execute_wavefronts` schedule whose transport arrays
+/// are `(rows, cols)` `sweeps` times on `pool` — the dispatch both
+/// engines share. A batch (`sweeps > 1`) or the pool's
+/// [`Scheduler::Dataflow`] knob takes the graph drain
+/// ([`WavefrontPool::try_execute_sweep_batch`]), recovering the
+/// dependence graph from the Arc identity of `cols` (minted by
+/// `cfd.get_parallel_blocks` via the schedule-bundle cache); otherwise
+/// each sweep runs level by level ([`WavefrontPool::try_execute_stateful`]).
+/// A `cols` the cache did not mint has no graph: it runs level by level
+/// and, when a drain was asked for, says so in the obs event stream.
+///
+/// # Errors
+/// Returns the first error produced by `work`.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn execute_wavefronts<S, E, I, W, M>(
+    pool: &WavefrontPool,
+    rows: &[i64],
+    cols: &Arc<Vec<i64>>,
+    sweeps: usize,
+    init: I,
+    work: W,
+    mut merge: M,
+) -> Result<(), E>
+where
+    S: Send,
+    E: Send,
+    I: Fn() -> S + Sync,
+    W: Fn(&mut S, usize) -> Result<(), E> + Sync,
+    M: FnMut(S),
+{
+    let drain = sweeps > 1 || pool.scheduler() == Scheduler::Dataflow;
+    let bundle = dataflow::lookup_by_cols(cols);
+    if let (true, Some(bundle)) = (drain, &bundle) {
+        return pool.try_execute_sweep_batch(bundle, sweeps, init, |s, _, b| work(s, b), merge);
+    }
+    if drain {
+        let name = if sweeps > 1 {
+            "sweep-batch-fallback"
+        } else {
+            "dataflow-fallback"
+        };
+        pool.obs().event(name, "cols not from schedule cache");
+    }
+    let owned;
+    let schedule = match &bundle {
+        Some(bundle) => &bundle.csr,
+        None => {
+            owned = CsrWavefronts::new(
+                rows.iter().map(|&x| x as usize).collect(),
+                cols.iter().map(|&x| x as usize).collect(),
+            );
+            &owned
+        }
+    };
+    for _ in 0..sweeps {
+        pool.try_execute_stateful(schedule, &init, &work, &mut merge)?;
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use instencil_pattern::dataflow::schedule_bundle;
     use instencil_pattern::schedule::WavefrontSchedule;
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Mutex;
+
+    /// Runs `work` once per scheduled block through the level pool.
+    fn run_levels(pool: &WavefrontPool, csr: &CsrWavefronts, work: impl Fn(usize) + Sync) {
+        pool.try_execute_stateful(
+            csr,
+            || (),
+            |(), b| {
+                work(b);
+                Ok::<(), ()>(())
+            },
+            |()| {},
+        )
+        .unwrap();
+    }
 
     #[test]
     fn executes_every_block_once() {
@@ -1143,7 +923,7 @@ mod tests {
         let csr = s.into_wavefronts();
         let count = AtomicUsize::new(0);
         let seen = Mutex::new(vec![false; 16]);
-        WavefrontPool::new(4).execute(&csr, |b| {
+        run_levels(&WavefrontPool::new(4), &csr, |b| {
             count.fetch_add(1, Ordering::SeqCst);
             let mut seen = seen.lock().unwrap();
             assert!(!seen[b], "block {b} executed twice");
@@ -1162,7 +942,7 @@ mod tests {
         let csr = sched.wavefronts().clone();
         let clock = AtomicUsize::new(0);
         let stamps: Vec<AtomicUsize> = (0..25).map(|_| AtomicUsize::new(0)).collect();
-        WavefrontPool::new(3).execute(&csr, |b| {
+        run_levels(&WavefrontPool::new(3), &csr, |b| {
             let t = clock.fetch_add(1, Ordering::SeqCst);
             stamps[b].store(t + 1, Ordering::SeqCst);
         });
@@ -1188,7 +968,9 @@ mod tests {
     fn single_thread_path() {
         let csr = CsrWavefronts::from_rows(vec![vec![0, 1], vec![2]]);
         let order = Mutex::new(Vec::new());
-        WavefrontPool::new(1).execute(&csr, |b| order.lock().unwrap().push(b));
+        run_levels(&WavefrontPool::new(1), &csr, |b| {
+            order.lock().unwrap().push(b)
+        });
         assert_eq!(*order.lock().unwrap(), vec![0, 1, 2]);
     }
 
@@ -1281,20 +1063,22 @@ mod tests {
         assert_eq!(msg, "block 1 exploded", "original payload must survive");
     }
 
+    // The eager dataflow scheduler is the graph drain at k = 1.
+
     #[test]
     fn dataflow_executes_every_block_once_and_respects_deps() {
-        let deps = vec![vec![-1i64, 0], vec![0, -1]];
-        let graph = BlockGraph::build(&[5, 5], &deps);
+        let bundle = schedule_bundle(&[5, 5], &[vec![-1i64, 0], vec![0, -1]]);
         for threads in [1usize, 2, 4, 8] {
             let clock = AtomicUsize::new(0);
             let starts: Vec<AtomicUsize> = (0..25).map(|_| AtomicUsize::new(0)).collect();
             let ends: Vec<AtomicUsize> = (0..25).map(|_| AtomicUsize::new(0)).collect();
             let count = AtomicUsize::new(0);
             WavefrontPool::new(threads)
-                .try_execute_dataflow(
-                    &graph,
+                .try_execute_sweep_batch(
+                    &bundle,
+                    1,
                     || (),
-                    |(), b| {
+                    |(), _, b| {
                         starts[b].store(clock.fetch_add(1, Ordering::SeqCst) + 1, Ordering::SeqCst);
                         count.fetch_add(1, Ordering::SeqCst);
                         ends[b].store(clock.fetch_add(1, Ordering::SeqCst) + 1, Ordering::SeqCst);
@@ -1305,10 +1089,9 @@ mod tests {
                 .unwrap();
             assert_eq!(count.load(Ordering::SeqCst), 25, "threads={threads}");
             for (b, start) in starts.iter().enumerate() {
-                for &p in graph.predecessors(b) {
+                for &p in bundle.graph.predecessors(b) {
                     assert!(
-                        ends[p as usize].load(Ordering::SeqCst)
-                            < start.load(Ordering::SeqCst),
+                        ends[p as usize].load(Ordering::SeqCst) < start.load(Ordering::SeqCst),
                         "threads={threads}: pred {p} still running when {b} started"
                     );
                 }
@@ -1318,14 +1101,15 @@ mod tests {
 
     #[test]
     fn dataflow_merges_states_and_propagates_errors() {
-        let graph = BlockGraph::build(&[4, 2], &[vec![-1i64, 0]]);
+        let bundle = schedule_bundle(&[4, 2], &[vec![-1i64, 0]]);
         for threads in [1usize, 2, 4] {
             let mut total = 0usize;
             WavefrontPool::new(threads)
-                .try_execute_dataflow(
-                    &graph,
+                .try_execute_sweep_batch(
+                    &bundle,
+                    1,
                     || 0usize,
-                    |count, b| {
+                    |count, _, b| {
                         *count += b + 1;
                         Ok::<(), ()>(())
                     },
@@ -1335,10 +1119,11 @@ mod tests {
             assert_eq!(total, 36, "threads={threads}");
 
             let err = WavefrontPool::new(threads)
-                .try_execute_dataflow(
-                    &graph,
+                .try_execute_sweep_batch(
+                    &bundle,
+                    1,
                     || (),
-                    |(), b| {
+                    |(), _, b| {
                         if b >= 6 {
                             return Err(format!("block {b} failed"));
                         }
@@ -1353,14 +1138,15 @@ mod tests {
 
     #[test]
     fn dataflow_propagates_worker_panics_with_payload() {
-        let graph = BlockGraph::build(&[3, 3], &[vec![-1i64, 0], vec![0, -1]]);
+        let bundle = schedule_bundle(&[3, 3], &[vec![-1i64, 0], vec![0, -1]]);
         for threads in [1usize, 3] {
             let err = std::panic::catch_unwind(AssertUnwindSafe(|| {
                 WavefrontPool::new(threads)
-                    .try_execute_dataflow(
-                        &graph,
+                    .try_execute_sweep_batch(
+                        &bundle,
+                        1,
                         || (),
-                        |(), b| {
+                        |(), _, b| {
                             if b == 4 {
                                 panic!("block {b} exploded");
                             }
@@ -1379,15 +1165,14 @@ mod tests {
     #[test]
     fn dataflow_empty_graph_is_a_no_op() {
         // A 1-block graph with no deps degenerates but must still run.
-        let graph = BlockGraph::build(&[1], &[]);
+        let bundle = schedule_bundle(&[1], &[]);
         let mut ran = 0usize;
         WavefrontPool::new(4)
-            .try_execute_dataflow(
-                &graph,
+            .try_execute_sweep_batch(
+                &bundle,
+                1,
                 || (),
-                |(), _| {
-                    Ok::<(), ()>(())
-                },
+                |(), _, _| Ok::<(), ()>(()),
                 |()| ran += 1,
             )
             .unwrap();
@@ -1402,14 +1187,15 @@ mod tests {
         // counting *blocks* and the fusion savings must be attributed
         // to `fused`.
         let obs = Obs::new(instencil_obs::ObsLevel::Trace);
-        let graph = BlockGraph::build(&[6, 6], &[vec![-1i64, 0], vec![0, -1]]);
+        let bundle = schedule_bundle(&[6, 6], &[vec![-1i64, 0], vec![0, -1]]);
         let pool = WavefrontPool::with_opts(4, obs.clone(), Scheduler::Dataflow);
-        assert_eq!(pool.grain_for(&graph), 2);
+        assert_eq!(pool.grain_for(&bundle.graph), 2);
         let count = AtomicUsize::new(0);
-        pool.try_execute_dataflow(
-            &graph,
+        pool.try_execute_sweep_batch(
+            &bundle,
+            1,
             || (),
-            |(), _| {
+            |(), _, _| {
                 count.fetch_add(1, Ordering::SeqCst);
                 Ok::<(), ()>(())
             },
@@ -1429,48 +1215,15 @@ mod tests {
     }
 
     #[test]
-    fn bundle_execution_matches_dataflow_and_respects_deps() {
-        let deps = vec![vec![-1i64, 0], vec![0, -1]];
-        let bundle = instencil_pattern::dataflow::schedule_bundle(&[5, 5], &deps);
-        for threads in [1usize, 2, 4, 8] {
-            let clock = AtomicUsize::new(0);
-            let starts: Vec<AtomicUsize> = (0..25).map(|_| AtomicUsize::new(0)).collect();
-            let ends: Vec<AtomicUsize> = (0..25).map(|_| AtomicUsize::new(0)).collect();
-            let mut total = 0usize;
-            WavefrontPool::new(threads)
-                .try_execute_bundle(
-                    &bundle,
-                    || 0usize,
-                    |count, b| {
-                        starts[b].store(clock.fetch_add(1, Ordering::SeqCst) + 1, Ordering::SeqCst);
-                        *count += b + 1;
-                        ends[b].store(clock.fetch_add(1, Ordering::SeqCst) + 1, Ordering::SeqCst);
-                        Ok::<(), ()>(())
-                    },
-                    |count| total += count,
-                )
-                .unwrap();
-            assert_eq!(total, 325, "threads={threads}");
-            for (b, start) in starts.iter().enumerate() {
-                for &p in bundle.graph.predecessors(b) {
-                    assert!(
-                        ends[p as usize].load(Ordering::SeqCst) < start.load(Ordering::SeqCst),
-                        "threads={threads}: pred {p} still running when {b} started"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
     fn dataflow_records_steals_and_busy_at_trace() {
         let obs = Obs::new(instencil_obs::ObsLevel::Trace);
-        let graph = BlockGraph::build(&[6, 6], &[vec![-1i64, 0], vec![0, -1]]);
+        let bundle = schedule_bundle(&[6, 6], &[vec![-1i64, 0], vec![0, -1]]);
         WavefrontPool::with_opts(4, obs.clone(), Scheduler::Dataflow)
-            .try_execute_dataflow(
-                &graph,
+            .try_execute_sweep_batch(
+                &bundle,
+                1,
                 || (),
-                |(), _| {
+                |(), _, _| {
                     // Enough work that busy times are nonzero.
                     std::hint::black_box((0..500).sum::<u64>());
                     Ok::<(), ()>(())
@@ -1487,5 +1240,16 @@ mod tests {
         let total: u64 = w.levels[0].workers.iter().map(|x| x.blocks).sum();
         assert_eq!(total, 36, "every block attributed to exactly one worker");
         assert!(w.levels[0].wall_ns > 0);
+        // k = 1 keeps the eager shape: one sweep, untagged trace tasks.
+        assert_eq!(w.sweeps, 1);
+        let mut tasks = rec
+            .rings
+            .iter()
+            .flat_map(|r| &r.events)
+            .filter(|e| e.kind == TraceKind::Task);
+        assert!(
+            tasks.all(|e| e.sweep == 0),
+            "eager task events carry sweep tag 0"
+        );
     }
 }

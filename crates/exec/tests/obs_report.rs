@@ -3,9 +3,11 @@
 //! that `ObsLevel::Off` produces the byte-identical default report.
 
 use instencil_core::kernels;
-use instencil_core::pipeline::{compile, reference_module, Engine, PipelineOptions, Scheduler};
+use instencil_core::pipeline::{
+    compile, reference_module, CompiledModule, Engine, PipelineOptions, Scheduler,
+};
 use instencil_exec::buffer::BufferView;
-use instencil_exec::driver::{run_compiled_report, run_compiled_sweeps, Runner};
+use instencil_exec::driver::Runner;
 use instencil_exec::RtVal;
 use instencil_obs::trace::TraceKind;
 use instencil_obs::{Obs, ObsLevel, RunReport};
@@ -18,6 +20,24 @@ fn gs5_buffers(n: usize) -> Vec<BufferView> {
         }
     }
     vec![w, BufferView::alloc(&[1, n, n])]
+}
+
+/// A runner bound to `c`'s own collector (the one its pipeline passes
+/// were recorded into) and to its engine, thread and scheduler knobs,
+/// after `iterations` sweeps of `gs5` over `buffers`.
+fn run_compiled<'m>(
+    c: &'m CompiledModule,
+    buffers: &[BufferView],
+    iterations: usize,
+) -> Runner<'m> {
+    let o = &c.options;
+    let mut runner =
+        Runner::with_opts(&c.module, o.engine, o.threads, o.scheduler, c.obs.clone()).unwrap();
+    for _ in 0..iterations {
+        let args: Vec<RtVal> = buffers.iter().cloned().map(RtVal::Buf).collect();
+        runner.call("gs5", args).unwrap();
+    }
+    runner
 }
 
 #[test]
@@ -86,7 +106,7 @@ fn worker_busy_never_exceeds_level_wall() {
     )
     .unwrap();
     let buffers = gs5_buffers(16);
-    run_compiled_sweeps(&c, "gs5", &buffers, 2).unwrap();
+    run_compiled(&c, &buffers, 2);
     let rec = c.obs.snapshot();
     assert!(!rec.wavefronts.is_empty(), "wavefront records must exist");
     // The runner clamps explicit thread requests to the host's
@@ -124,7 +144,7 @@ fn summary_level_skips_worker_detail_but_keeps_level_walls() {
     )
     .unwrap();
     let buffers = gs5_buffers(16);
-    run_compiled_sweeps(&c, "gs5", &buffers, 1).unwrap();
+    run_compiled(&c, &buffers, 1);
     let rec = c.obs.snapshot();
     assert!(!rec.wavefronts.is_empty());
     for w in &rec.wavefronts {
@@ -144,7 +164,7 @@ fn off_produces_the_byte_identical_default_report() {
     .unwrap();
     assert!(!c.obs.enabled());
     let buffers = gs5_buffers(12);
-    let report = run_compiled_report(&c, "gs5", &buffers, 2).unwrap();
+    let report = run_compiled(&c, &buffers, 2).report();
     assert_eq!(report, RunReport::default());
     assert_eq!(
         report.to_json().to_string(),
@@ -164,8 +184,8 @@ fn observed_runs_match_unobserved_runs_bit_for_bit() {
     let c_trace = compile(&m, &opts.obs(ObsLevel::Trace)).unwrap();
     let b_off = gs5_buffers(16);
     let b_trace = gs5_buffers(16);
-    let s_off = run_compiled_sweeps(&c_off, "gs5", &b_off, 3).unwrap();
-    let s_trace = run_compiled_sweeps(&c_trace, "gs5", &b_trace, 3).unwrap();
+    let s_off = run_compiled(&c_off, &b_off, 3).stats();
+    let s_trace = run_compiled(&c_trace, &b_trace, 3).stats();
     assert_eq!(b_off[0].to_vec(), b_trace[0].to_vec());
     assert_eq!(s_off, s_trace, "stats are obs-invariant");
 }
@@ -214,7 +234,7 @@ fn trace_rings_record_tasks_under_both_schedulers() {
         )
         .unwrap();
         let buffers = gs5_buffers(16);
-        run_compiled_sweeps(&c, "gs5", &buffers, 2).unwrap();
+        run_compiled(&c, &buffers, 2);
         let rec = c.obs.snapshot();
         assert!(!rec.rings.is_empty(), "{scheduler:?}: rings must exist");
         let tasks: usize = rec
@@ -256,7 +276,7 @@ fn trace_rings_record_tasks_under_both_schedulers() {
     )
     .unwrap();
     let buffers = gs5_buffers(16);
-    run_compiled_sweeps(&c, "gs5", &buffers, 1).unwrap();
+    run_compiled(&c, &buffers, 1);
     assert!(c.obs.snapshot().rings.is_empty());
 }
 

@@ -11,9 +11,7 @@
 //!   *actual* Eq. (3) wavefront schedules with per-point op mixes
 //!   *measured from the actual generated code*;
 //! * [`mod@autotune`] — capacity- and legality-constrained tile-size search
-//!   (§2.1), regenerating the choices of Tables 2 and 3;
-//! * [`cachesim`] — a set-associative LRU simulator validating the
-//!   capacity/reuse heuristic on real Gauss-Seidel access traces.
+//!   (§2.1), regenerating the choices of Tables 2 and 3.
 //!
 //! # Example
 //! ```
@@ -29,7 +27,6 @@
 //! ```
 
 pub mod autotune;
-pub mod cachesim;
 pub mod cost;
 pub mod topology;
 

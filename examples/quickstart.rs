@@ -34,7 +34,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // --- 3. Run: a hot spot relaxing over a 64x64 plate -----------------
     // Sweeps execute on the bytecode engine by default (compiled tapes,
     // bit-identical to the reference interpreter; pick explicitly with
-    // `run_sweeps_with(.., Engine::Interp | Engine::Bytecode)`).
+    // `Runner::new(&module, Engine::Interp | Engine::Bytecode, threads)`).
     let n = 64;
     let w = BufferView::alloc(&[1, n, n]);
     w.store(&[0, 32, 32], 100.0);

@@ -6,8 +6,6 @@
 //! cargo run --example wavefronts
 //! ```
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-
 use instencil::pattern::blockdeps::block_dependences;
 use instencil::pattern::{presets, WavefrontSchedule};
 use instencil::prelude::WavefrontPool;
@@ -48,16 +46,24 @@ fn main() {
         s5.wavefronts().max_parallelism()
     );
 
-    // Execute with real threads: count per-level concurrency.
-    let executed = AtomicUsize::new(0);
+    // Execute with real threads, level by level: each worker counts the
+    // blocks it ran in private state, merged on the calling thread.
+    let mut executed = 0usize;
     let pool = WavefrontPool::new(4);
-    pool.execute(s5.wavefronts(), |_block| {
-        executed.fetch_add(1, Ordering::SeqCst);
-    });
+    pool.try_execute_stateful(
+        s5.wavefronts(),
+        || 0usize,
+        |count, _block| {
+            *count += 1;
+            Ok::<(), std::convert::Infallible>(())
+        },
+        |count| executed += count,
+    )
+    .expect("infallible work cannot error");
     println!(
         "executed {} blocks on {} worker threads, level by level",
-        executed.load(Ordering::SeqCst),
+        executed,
         pool.threads()
     );
-    assert_eq!(executed.load(Ordering::SeqCst), grid[0] * grid[1]);
+    assert_eq!(executed, grid[0] * grid[1]);
 }

@@ -10,7 +10,9 @@
 //! lexicographically-negative dependence offsets, 1/2/4/8 workers. Every
 //! block execution takes start/end stamps from one shared logical clock;
 //! afterwards every block must have run exactly once and every
-//! predecessor's end stamp must precede its successor's start stamp.
+//! predecessor's end stamp must precede its successor's start stamp. The
+//! eager dataflow scheduler is the sweep drain at batch depth 1; the
+//! batched drains are checked at depths 2 and 4.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -124,6 +126,7 @@ fn sweep_batch_never_runs_a_block_before_its_cross_sweep_predecessors() {
     });
 }
 
+/// The eager dataflow scheduler: the sweep drain at batch depth 1.
 #[test]
 fn dataflow_trace_never_runs_a_block_before_its_predecessors() {
     check_n("dataflow-trace-ordering", 24, |rng| {
@@ -131,22 +134,24 @@ fn dataflow_trace_never_runs_a_block_before_its_predecessors() {
         let deps = random_deps(rng, grid.len());
         let graph = BlockGraph::build(&grid, &deps);
         let n = graph.num_blocks();
+        let bundle = schedule_bundle(&grid, &deps);
         for threads in [1usize, 2, 4, 8] {
             let clock = AtomicU64::new(1);
             let starts: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
             let ends: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
             let runs: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
             let pool = WavefrontPool::with_opts(threads, Obs::off(), Scheduler::Dataflow);
-            pool.try_execute_dataflow(
-                &graph,
+            pool.try_execute_sweep_batch(
+                &bundle,
+                1,
                 || (),
-                |_, b| {
+                |_, _, b| {
                     starts[b].store(clock.fetch_add(1, Ordering::SeqCst), Ordering::SeqCst);
                     runs[b].fetch_add(1, Ordering::SeqCst);
                     ends[b].store(clock.fetch_add(1, Ordering::SeqCst), Ordering::SeqCst);
                     Ok::<(), std::convert::Infallible>(())
                 },
-                |_| {},
+                |()| {},
             )
             .expect("infallible work cannot error");
             let label = format!("grid {grid:?} deps {deps:?} threads {threads}");

@@ -16,7 +16,8 @@
 //!   clean, and
 //! * an empty `block_stencil` (a deliberate scheduling lie) puts both
 //!   blocks in level 0 — debug builds must panic with
-//!   `wavefront overlap: blocks 0 and 1 … flat extent [1, 1]`.
+//!   `wavefront overlap: blocks 0 and 1 … flat extent [1, 1]`, under
+//!   levels, the eager dataflow drain and a batched two-sweep drain.
 //!
 //! Release builds compile the checker out, so the panicking halves are
 //! `#[cfg(debug_assertions)]`-gated; the clean half runs everywhere.
@@ -110,6 +111,26 @@ fn run_bytecode_dataflow(m: &Module) {
         .expect("wavefront module runs");
 }
 
+/// A batched drain of two sweeps, checked against the sweep-extended
+/// dependence graph: the blocks of both sweeps must keep the same
+/// disjointness, and block `f` of sweep 1 may reuse what sweep 0 wrote
+/// only when the cross-sweep edges order them.
+fn run_bytecode_batched(m: &Module) {
+    let b = BufferView::alloc(&[4]);
+    let obs = Obs::new(ObsLevel::Summary);
+    BytecodeEngine::compile_with_obs(m, 2, obs.clone())
+        .expect("wavefront module compiles")
+        .call_sweeps("wf", vec![RtVal::Buf(b)], 2)
+        .expect("wavefront module runs");
+    assert!(
+        obs.snapshot()
+            .events
+            .iter()
+            .all(|e| e.name != "sweep-batch-fallback"),
+        "the two sweeps must drain as one batch"
+    );
+}
+
 #[test]
 fn correct_schedule_runs_clean() {
     let m = two_block_module(honest_deps());
@@ -124,6 +145,7 @@ fn correct_schedule_runs_clean_under_dataflow() {
     let m = two_block_module(honest_deps());
     run_interp_dataflow(&m);
     run_bytecode_dataflow(&m);
+    run_bytecode_batched(&m);
 }
 
 #[cfg(debug_assertions)]
@@ -175,5 +197,11 @@ mod debug_only {
     fn mis_schedule_panics_in_bytecode_dataflow() {
         let m = two_block_module(lying_deps());
         expect_overlap_panic(move || run_bytecode_dataflow(&m));
+    }
+
+    #[test]
+    fn mis_schedule_panics_in_bytecode_batched() {
+        let m = two_block_module(lying_deps());
+        expect_overlap_panic(move || run_bytecode_batched(&m));
     }
 }

@@ -22,6 +22,15 @@ use instencil::solvers::lusgs::vortex_initial;
 
 const THREAD_COUNTS: [usize; 3] = [2, 4, 8];
 
+/// Three in-place sweeps of `sor` over `bufs` on `threads` wavefront
+/// workers, drained as one batch through a [`Runner`].
+fn sor_sweeps(module: &Module, bufs: &[BufferView], threads: usize) -> instencil::exec::ExecStats {
+    let mut runner = Runner::new(module, Engine::default(), threads).unwrap();
+    let args: Vec<RtVal> = bufs.iter().cloned().map(RtVal::Buf).collect();
+    runner.call_sweeps("sor", args, 3).unwrap();
+    runner.stats()
+}
+
 /// Deterministic non-trivial initial data.
 fn seeded(shape: &[usize]) -> BufferView {
     let len: usize = shape.iter().product();
@@ -55,8 +64,7 @@ fn sor_parallel_matches_sequential_bitwise() {
 
         let u_seq = seeded(&shape);
         let b_seq = seeded(&shape);
-        let stats_seq =
-            run_sweeps_threaded(&compiled.module, "sor", &[u_seq.clone(), b_seq], 3, 1).unwrap();
+        let stats_seq = sor_sweeps(&compiled.module, &[u_seq.clone(), b_seq], 1);
         assert!(
             stats_seq.wavefront_levels > 0,
             "n={n}: pipeline must lower to wavefronts"
@@ -66,9 +74,7 @@ fn sor_parallel_matches_sequential_bitwise() {
         for threads in THREAD_COUNTS {
             let u_par = seeded(&shape);
             let b_par = seeded(&shape);
-            let stats_par =
-                run_sweeps_threaded(&compiled.module, "sor", &[u_par.clone(), b_par], 3, threads)
-                    .unwrap();
+            let stats_par = sor_sweeps(&compiled.module, &[u_par.clone(), b_par], threads);
             let got = u_par.to_vec();
             assert!(
                 expect
