@@ -3,8 +3,8 @@
 #
 # Offline operation
 # -----------------
-# The workspace has zero external dependencies (randomness / property
-# testing / benches come from the in-tree `instencil-testkit` crate), so
+# The workspace has zero external dependencies (randomness and property
+# testing come from the in-tree `instencil-testkit` crate), so
 # no step below ever needs the crates.io registry. Should a dependency
 # ever be added, vendor it first:
 #
@@ -26,8 +26,13 @@ cd "$(dirname "$0")"
 OFFLINE="--offline"
 cargo --offline --version >/dev/null 2>&1 || OFFLINE=""
 
-echo "==> cargo build --release"
+echo "==> cargo build --release (workspace + benchmark)"
 cargo build $OFFLINE --workspace --release
+# The benchmark is its own workspace, so the build above never compiles
+# it, yet it drives the exec API (`Runner`, `Interpreter`, `Engine`,
+# `run_until_converged`): build it here so an API break fails CI. The
+# shared target directory is the one benchmark/run.sh builds into.
+CARGO_TARGET_DIR=target cargo build --release $OFFLINE --manifest-path benchmark/Cargo.toml
 
 echo "==> cargo test (tier-1: default-members cover the whole workspace)"
 # Runs in the debug profile, so the wavefront overlap checkers are armed

@@ -73,12 +73,6 @@ pub enum Engine {
     /// contiguous run of points per dispatch.
     #[default]
     Bytecode,
-    /// Compiled bytecode tapes with run specialization disabled —
-    /// every point pays full opcode dispatch. Exists to measure what
-    /// the specialized run path buys (`Engine::Bytecode` vs this) and as
-    /// a differential-testing comparator; results and statistics are
-    /// bit-identical to the other two engines.
-    BytecodeDispatch,
 }
 
 /// Options of the full pipeline (one point of the §4.2 ablation space).

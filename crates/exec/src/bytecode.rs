@@ -521,9 +521,9 @@ fn cross_move(src_regs: &Regs, src: Reg, dst_regs: &mut Regs, dst: Reg) {
     }
 }
 
-/// The bytecode engine: a compiled program plus the same `stats` /
-/// `threads` surface as [`crate::interp::Interpreter`]. Compile once,
-/// call many times.
+/// The bytecode engine: a compiled program plus the same `stats`
+/// surface as [`crate::interp::Interpreter`], and a wavefront worker
+/// count. Compile once, call many times.
 #[derive(Debug)]
 pub struct BytecodeEngine {
     program: BcProgram,
@@ -1271,8 +1271,6 @@ impl BcCtx<'_> {
         if regs.rs.declined.contains(&spec_addr) {
             return false;
         }
-        let timing = runspec::phase_timing::enabled();
-        let t_probe = timing.then(std::time::Instant::now);
         // Probe the body's integer/constant subset at `lb`, then
         // re-evaluate only its iv-dependent part at `lb + step`; the
         // index deltas resolve every access to base + t·delta form.
@@ -1331,9 +1329,7 @@ impl BcCtx<'_> {
                 store: a.store,
             });
         }
-        let t_plan = timing.then(std::time::Instant::now);
         let hit = runspec::build_plan(spec, n, &regs.f, &regs.v, &mut rs);
-        let t_exec = timing.then(std::time::Instant::now);
         if self.pool.obs().detail_enabled() {
             // Consecutive hits coalesce into one event (a tail compare,
             // no clock read), keeping the per-run Trace cost flat; the
@@ -1359,9 +1355,6 @@ impl BcCtx<'_> {
                 m,
             );
             t0 += m;
-        }
-        if let (Some(p), Some(b), Some(e)) = (t_probe, t_plan, t_exec) {
-            runspec::phase_timing::record(b - p, e - b, e.elapsed(), n);
         }
         let n = n as u64;
         stats.loads += spec.loads_per_iter * n;

@@ -74,8 +74,8 @@ fn malformed(msg: impl Into<String>) -> BcCompileError {
 pub struct BcOptions {
     /// Attach run-specialization macro-ops (DESIGN.md §4f) to
     /// straight-line innermost loops. On by default; turning it off
-    /// yields the dispatch-per-point engine, kept for differential
-    /// tests and benchmarks.
+    /// yields dispatch-per-point bytecode, kept as a differential-testing
+    /// comparator (it is not an [`Engine`](instencil_core::pipeline::Engine)).
     pub specialize_runs: bool,
 }
 

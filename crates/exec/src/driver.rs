@@ -2,7 +2,8 @@
 //!
 //! Kernels compiled by `instencil-core` perform one sweep per call and
 //! mutate their argument buffers in place; [`Runner`] binds a module to
-//! an engine, a wavefront worker count and a [`Scheduler`], and drives
+//! one of the two engines (with a wavefront worker count and a
+//! [`Scheduler`] for the bytecode engine's pool), and drives
 //! the iteration loop (the granularity at which the paper synchronizes
 //! between Gauss-Seidel iterations). [`run_sweeps`] and
 //! [`run_sweeps_opts`] are one-line loops over it; to honor the knobs of
@@ -30,7 +31,6 @@ use instencil_pattern::dataflow::Scheduler;
 
 use crate::buffer::BufferView;
 use crate::bytecode::BytecodeEngine;
-use crate::BcOptions;
 use crate::compile::BcCompileError;
 use crate::interp::{ExecError, Interpreter};
 use crate::stats::ExecStats;
@@ -41,7 +41,6 @@ fn engine_name(engine: Engine) -> &'static str {
     match engine {
         Engine::Interp => "interp",
         Engine::Bytecode => "bytecode",
-        Engine::BytecodeDispatch => "bytecode-dispatch",
     }
 }
 
@@ -69,7 +68,6 @@ pub struct Runner<'m> {
     requested: Engine,
     fallback: Option<String>,
     obs: Obs,
-    threads: usize,
 }
 
 /// Resolves the `threads` knob: `0` means "auto" — one worker per
@@ -108,7 +106,7 @@ impl<'m> Runner<'m> {
     /// [`Runner::new`] recording into `obs`: bytecode compilation under
     /// an `engine:compile` span, each call under `engine:execute`, the
     /// interpreter fallback as an `engine-fallback` event, and wavefront
-    /// timings through the engines' pools.
+    /// timings through the bytecode engine's pool.
     ///
     /// # Errors
     /// Returns an error only for [`BcCompileError::Malformed`] modules.
@@ -123,7 +121,8 @@ impl<'m> Runner<'m> {
 
     /// [`Runner::with_obs`] with an explicit wavefront [`Scheduler`].
     /// `threads == 0` means "auto": one worker per available hardware
-    /// thread (resolved here, nowhere else).
+    /// thread (resolved here, nowhere else). Both knobs drive the
+    /// bytecode engine's pool; the interpreter runs sequentially.
     ///
     /// # Errors
     /// Returns an error only for [`BcCompileError::Malformed`] modules.
@@ -134,20 +133,17 @@ impl<'m> Runner<'m> {
         scheduler: Scheduler,
         obs: Obs,
     ) -> Result<Self, ExecError> {
-        let threads = resolve_threads(threads);
+        let interp = RunnerInner::Interp {
+            module,
+            interp: Interpreter::new(),
+        };
         let mut fallback = None;
         let inner = match engine {
-            Engine::Interp => RunnerInner::Interp {
-                module,
-                interp: Interpreter::with_opts(threads, obs.clone(), scheduler),
-            },
-            Engine::Bytecode | Engine::BytecodeDispatch => {
+            Engine::Interp => interp,
+            Engine::Bytecode => {
                 let compiled = {
                     let _span = obs.span("engine:compile");
-                    let opts = BcOptions {
-                        specialize_runs: engine == Engine::Bytecode,
-                    };
-                    BytecodeEngine::compile_with_opts(module, threads, obs.clone(), opts)
+                    BytecodeEngine::compile_with_obs(module, resolve_threads(threads), obs.clone())
                         .map(|e| e.with_scheduler(scheduler))
                 };
                 match compiled {
@@ -156,10 +152,7 @@ impl<'m> Runner<'m> {
                         let reason = format!("unsupported by bytecode: {what}");
                         obs.event("engine-fallback", &reason);
                         fallback = Some(reason);
-                        RunnerInner::Interp {
-                            module,
-                            interp: Interpreter::with_opts(threads, obs.clone(), scheduler),
-                        }
+                        interp
                     }
                     Err(e @ BcCompileError::Malformed(_)) => {
                         return Err(ExecError::new(e.to_string()))
@@ -172,7 +165,6 @@ impl<'m> Runner<'m> {
             requested: engine,
             fallback,
             obs,
-            threads,
         })
     }
 
@@ -266,9 +258,7 @@ impl<'m> Runner<'m> {
     pub fn engine(&self) -> Engine {
         match &self.inner {
             RunnerInner::Interp { .. } => Engine::Interp,
-            // Both bytecode flavors bind the same engine type; the
-            // requested variant records which compile options were used.
-            RunnerInner::Bytecode(_) => self.requested,
+            RunnerInner::Bytecode(_) => Engine::Bytecode,
         }
     }
 
@@ -278,9 +268,13 @@ impl<'m> Runner<'m> {
     }
 
     /// The resolved wavefront worker count (`threads == 0` requests
-    /// resolve to the available hardware parallelism).
+    /// resolve to the available hardware parallelism); always 1 on the
+    /// sequential interpreter.
     pub fn threads(&self) -> usize {
-        self.threads
+        match &self.inner {
+            RunnerInner::Interp { .. } => 1,
+            RunnerInner::Bytecode(engine) => engine.threads(),
+        }
     }
 
     /// Why the runner fell back to the interpreter, when it did.
@@ -678,6 +672,9 @@ mod tests {
         assert_eq!(runner.threads(), 3.min(auto));
         let runner = Runner::new(&c.module, Engine::Bytecode, auto + 7).unwrap();
         assert_eq!(runner.threads(), auto, "requests beyond the host clamp");
+        // The reference interpreter is sequential whatever was asked.
+        let runner = Runner::new(&c.module, Engine::Interp, 0).unwrap();
+        assert_eq!(runner.threads(), 1, "the interpreter runs no pool");
     }
 
     #[test]

@@ -11,18 +11,14 @@
 //!   `cfd.get_parallel_blocks` (the wavefront schedule is computed at run
 //!   time, as in the paper, and executed level by level).
 //!
-//! The interpreter is split into a read-only compiled view ([`ExecCtx`]:
-//! the module plus a [`WavefrontPool`]) and per-thread execution frames
-//! ([`Frame`]: the dynamic statistics). `scf.execute_wavefronts` runs
-//! through the pool at every thread count, level by level — "a
+//! The interpreter is sequential and pool-free: `scf.execute_wavefronts`
+//! walks the schedule's CSR levels in order on the calling thread — "a
 //! sequential for loop iterating over groups that contains a parallel
-//! for loop" (paper §3.4) — or, under [`Scheduler::Dataflow`], as the
-//! pool's graph drain; [`Interpreter::with_threads`] `> 1` spreads it
-//! across real OS threads. The Eq. (3) schedule guarantees sub-domains
-//! within a level are independent, so parallel execution is bit-identical
-//! to sequential execution; each worker accumulates a private `Frame`
-//! that the coordinator merges, so statistics are thread-count-invariant
-//! too (levels are counted once by the coordinator).
+//! for loop" (paper §3.4) with the inner loop run in place. Any
+//! topological order of the Eq. (3) schedule produces the same bits, so
+//! this walk is the reference that every thread count and scheduler of
+//! the bytecode engine is checked against, results and [`ExecStats`]
+//! alike.
 
 use std::error::Error;
 use std::fmt;
@@ -30,14 +26,11 @@ use std::sync::Arc;
 
 use instencil_core::attrs::attr_to_pattern;
 use instencil_core::ops::RegionLayout;
-use instencil_obs::Obs;
 use instencil_ir::body::ValueDef;
 use instencil_ir::{Attribute, Body, Module, OpCode, OpId, RegionId, Type, ValueId};
-use instencil_pattern::dataflow::{self, Scheduler};
-use instencil_pattern::{blockdeps, Sweep};
+use instencil_pattern::{blockdeps, dataflow, Sweep};
 
 use crate::buffer::BufferView;
-use crate::parallel::{self, WavefrontPool};
 use crate::stats::ExecStats;
 use crate::value::RtVal;
 
@@ -66,105 +59,47 @@ impl Error for ExecError {}
 
 type Env = Vec<Option<RtVal>>;
 
-/// Per-thread mutable execution state: one frame per wavefront worker
-/// (and one for the coordinating thread).
+/// The sequential reference interpreter: owns execution statistics
+/// across calls.
 #[derive(Debug, Default)]
-struct Frame {
-    stats: ExecStats,
-}
-
-/// The interpreter: owns execution statistics across calls and the
-/// thread-count knob for wavefront execution.
-#[derive(Debug)]
 pub struct Interpreter {
     /// Accumulated dynamic statistics.
     pub stats: ExecStats,
-    threads: usize,
-    obs: Obs,
-    scheduler: Scheduler,
-}
-
-impl Default for Interpreter {
-    fn default() -> Self {
-        Self::new()
-    }
 }
 
 impl Interpreter {
-    /// Creates a sequential interpreter with zeroed statistics.
+    /// Creates an interpreter with zeroed statistics.
     pub fn new() -> Self {
-        Self::with_threads(1)
-    }
-
-    /// Creates an interpreter that executes `scf.execute_wavefronts`
-    /// levels across `threads` OS threads (minimum 1). Results are
-    /// bit-identical to the sequential interpreter for any thread count:
-    /// the Eq. (3) schedule makes sub-domains within a level write
-    /// disjoint regions.
-    pub fn with_threads(threads: usize) -> Self {
-        Self::with_obs(threads, Obs::off())
-    }
-
-    /// Like [`Interpreter::with_threads`], but recording wavefront-level
-    /// and schedule timings into `obs`.
-    pub fn with_obs(threads: usize, obs: Obs) -> Self {
-        Self::with_opts(threads, obs, Scheduler::Levels)
-    }
-
-    /// Full-knob constructor: thread count, observability, and wavefront
-    /// scheduler mode. [`Scheduler::Dataflow`] executes the block
-    /// dependence graph point-to-point (bit-identical to levels).
-    pub fn with_opts(threads: usize, obs: Obs, scheduler: Scheduler) -> Self {
-        Interpreter {
-            stats: ExecStats::default(),
-            threads: threads.max(1),
-            obs,
-            scheduler,
-        }
-    }
-
-    /// The wavefront worker count.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// The wavefront scheduler mode.
-    pub fn scheduler(&self) -> Scheduler {
-        self.scheduler
+        Self::default()
     }
 
     /// Calls a function of `module` by name.
     ///
     /// # Errors
     /// Fails when the function is missing, arity mismatches, or an op is
-    /// not executable.
+    /// not executable. Work done before the failure stays counted.
     pub fn call(
         &mut self,
         module: &Module,
         name: &str,
         args: Vec<RtVal>,
     ) -> Result<Vec<RtVal>, ExecError> {
-        let ctx = ExecCtx {
-            module,
-            pool: WavefrontPool::with_opts(self.threads, self.obs.clone(), self.scheduler),
-        };
-        let mut frame = Frame::default();
-        let out = ctx.call(name, args, &mut frame);
-        // Merge even on error so partially executed work is accounted.
-        self.stats.merge(&frame.stats);
-        out
+        ExecCtx { module }.call(name, args, &mut self.stats)
     }
 }
 
-/// Read-only compiled view shared by all threads: the module under
-/// execution plus the pool that runs wavefront levels.
+/// Read-only view of the module under execution.
 struct ExecCtx<'m> {
     module: &'m Module,
-    pool: WavefrontPool,
 }
 
 impl ExecCtx<'_> {
-    fn call(&self, name: &str, args: Vec<RtVal>, frame: &mut Frame) -> Result<Vec<RtVal>, ExecError> {
+    fn call(
+        &self,
+        name: &str,
+        args: Vec<RtVal>,
+        stats: &mut ExecStats,
+    ) -> Result<Vec<RtVal>, ExecError> {
         let func = self
             .module
             .lookup(name)
@@ -179,7 +114,7 @@ impl ExecCtx<'_> {
         let body = &func.body;
         let mut env: Env = vec![None; body.num_values()];
         let entry = body.entry_block();
-        self.exec_block(body, entry, &args, &mut env, frame)
+        self.exec_block(body, entry, &args, &mut env, stats)
     }
 
     /// Executes the ops of `block` with `args` bound to its block
@@ -190,7 +125,7 @@ impl ExecCtx<'_> {
         block: instencil_ir::BlockId,
         args: &[RtVal],
         env: &mut Env,
-        frame: &mut Frame,
+        stats: &mut ExecStats,
     ) -> Result<Vec<RtVal>, ExecError> {
         let block_args = &body.block(block).args;
         if block_args.len() != args.len() {
@@ -212,7 +147,7 @@ impl ExecCtx<'_> {
                     .map(|v| self.value(env, *v))
                     .collect::<Result<Vec<_>, _>>();
             }
-            self.exec_op(body, op, env, frame)?;
+            self.exec_op(body, op, env, stats)?;
         }
         Ok(Vec::new())
     }
@@ -223,10 +158,10 @@ impl ExecCtx<'_> {
         region: RegionId,
         args: &[RtVal],
         env: &mut Env,
-        frame: &mut Frame,
+        stats: &mut ExecStats,
     ) -> Result<Vec<RtVal>, ExecError> {
         let block = body.region(region).blocks[0];
-        self.exec_block(body, block, args, env, frame)
+        self.exec_block(body, block, args, env, stats)
     }
 
     fn value(&self, env: &Env, v: ValueId) -> Result<RtVal, ExecError> {
@@ -262,7 +197,7 @@ impl ExecCtx<'_> {
         body: &Body,
         op_id: OpId,
         env: &mut Env,
-        frame: &mut Frame,
+        stats: &mut ExecStats,
     ) -> Result<(), ExecError> {
         let op = body.op(op_id);
         let set = |env: &mut Env, results: &[ValueId], vals: Vec<RtVal>| {
@@ -307,11 +242,11 @@ impl ExecCtx<'_> {
                 };
                 let out = match (a, b) {
                     (RtVal::F64(x), RtVal::F64(y)) => {
-                        frame.stats.scalar_flops += 1;
+                        stats.scalar_flops += 1;
                         RtVal::F64(g(x, y))
                     }
                     (RtVal::Vec(x), RtVal::Vec(y)) => {
-                        frame.stats.vector_flops += 1;
+                        stats.vector_flops += 1;
                         RtVal::Vec(x.iter().zip(y).map(|(p, q)| g(*p, q)).collect())
                     }
                     _ => return Err(ExecError::new("mixed scalar/vector arithmetic")),
@@ -328,11 +263,11 @@ impl ExecCtx<'_> {
                 };
                 let out = match self.value(env, op.operands[0])? {
                     RtVal::F64(x) => {
-                        frame.stats.scalar_flops += 1;
+                        stats.scalar_flops += 1;
                         RtVal::F64(g(x))
                     }
                     RtVal::Vec(x) => {
-                        frame.stats.vector_flops += 1;
+                        stats.vector_flops += 1;
                         RtVal::Vec(x.iter().map(|p| g(*p)).collect())
                     }
                     other => return Err(ExecError::new(format!("bad unary operand {other:?}"))),
@@ -345,11 +280,11 @@ impl ExecCtx<'_> {
                 let c = self.value(env, op.operands[2])?;
                 let out = match (a, b, c) {
                     (RtVal::F64(x), RtVal::F64(y), RtVal::F64(z)) => {
-                        frame.stats.scalar_flops += 1;
+                        stats.scalar_flops += 1;
                         RtVal::F64(x.mul_add(y, z))
                     }
                     (RtVal::Vec(x), RtVal::Vec(y), RtVal::Vec(z)) => {
-                        frame.stats.vector_flops += 1;
+                        stats.vector_flops += 1;
                         RtVal::Vec(
                             x.iter()
                                 .zip(y.iter())
@@ -372,7 +307,7 @@ impl ExecCtx<'_> {
             | OpCode::MaxSI => {
                 let a = self.int(env, op.operands[0])?;
                 let b = self.int(env, op.operands[1])?;
-                frame.stats.index_ops += 1;
+                stats.index_ops += 1;
                 let out = match op.opcode {
                     OpCode::AddI => a + b,
                     OpCode::SubI => a - b,
@@ -442,7 +377,7 @@ impl ExecCtx<'_> {
                 while iv < ub {
                     let mut args = vec![RtVal::Int(iv)];
                     args.extend(iters.iter().cloned());
-                    iters = self.eval_region(body, op.regions[0], &args, env, frame)?;
+                    iters = self.eval_region(body, op.regions[0], &args, env, stats)?;
                     iv += step;
                 }
                 set(env, &op.results, iters);
@@ -453,7 +388,7 @@ impl ExecCtx<'_> {
                     other => return Err(ExecError::new(format!("if cond {other:?}"))),
                 };
                 let region = op.regions[if c { 0 } else { 1 }];
-                let vals = self.eval_region(body, region, &[], env, frame)?;
+                let vals = self.eval_region(body, region, &[], env, stats)?;
                 set(env, &op.results, vals);
             }
             OpCode::Parallel => {
@@ -465,7 +400,7 @@ impl ExecCtx<'_> {
                 }
                 let mut iv = lb;
                 while iv < ub {
-                    self.eval_region(body, op.regions[0], &[RtVal::Int(iv)], env, frame)?;
+                    self.eval_region(body, op.regions[0], &[RtVal::Int(iv)], env, stats)?;
                     iv += step;
                 }
             }
@@ -478,38 +413,17 @@ impl ExecCtx<'_> {
                     RtVal::I64Arr(a) => a,
                     other => return Err(ExecError::new(format!("cols {other:?}"))),
                 };
-                // The coordinator counts levels — once per level
-                // regardless of scheduler or how many workers ran it — so
-                // stats are identical across thread counts. Workers count
-                // the blocks (and ops) they execute in private frames,
-                // merged below.
-                frame.stats.wavefront_levels += (rows.len() - 1) as u64;
-                let region = op.regions[0];
-                // Each worker gets a clone of the environment:
-                // region-local SSA values are written per block but never
-                // read across blocks (dominance), so discarding the clones
-                // afterwards matches sequential semantics.
-                let base_env: &Env = env;
-                parallel::execute_wavefronts(
-                    &self.pool,
-                    &rows,
-                    &cols,
-                    1,
-                    || (base_env.clone(), Frame::default()),
-                    |state: &mut (Env, Frame), block| {
-                        let (worker_env, worker_frame) = state;
-                        worker_frame.stats.blocks_executed += 1;
-                        self.eval_region(
-                            body,
-                            region,
-                            &[RtVal::Int(block as i64)],
-                            worker_env,
-                            worker_frame,
-                        )
-                        .map(|_| ())
-                    },
-                    |(_, worker_frame)| frame.stats.merge(&worker_frame.stats),
-                )?;
+                // Levels in order, each level's blocks in CSR order.
+                // Region-local SSA values are written per block but
+                // never read across blocks (dominance), so the blocks
+                // share the one environment.
+                stats.wavefront_levels += (rows.len() - 1) as u64;
+                for level in rows.windows(2) {
+                    for &block in &cols[level[0] as usize..level[1] as usize] {
+                        stats.blocks_executed += 1;
+                        self.eval_region(body, op.regions[0], &[RtVal::Int(block)], env, stats)?;
+                    }
+                }
             }
             OpCode::CfdGetParallelBlocks => {
                 let grid: Vec<usize> = op
@@ -523,16 +437,10 @@ impl ExecCtx<'_> {
                     .and_then(Attribute::as_dense_i8)
                     .ok_or_else(|| ExecError::new("missing block_stencil"))?;
                 let deps = blockdeps::from_block_stencil(shape, data);
-                let mut span = self.pool.obs().span("run:schedule");
-                // The bundle cache runs the Eq. (3) sweep (and the
-                // dependence-graph build) once per (grid, deps) pair
-                // process-wide; the returned Arcs carry the identity
-                // `scf.execute_wavefronts` uses to recover the graph.
+                // The bundle cache runs the Eq. (3) sweep once per
+                // (grid, deps) pair process-wide.
                 let bundle = dataflow::schedule_bundle(&grid, &deps);
-                span.note("levels", bundle.csr.num_levels() as i64);
-                span.note("blocks", grid.iter().product::<usize>() as i64);
-                drop(span);
-                frame.stats.schedules_computed += 1;
+                stats.schedules_computed += 1;
                 env[op.results[0].index()] = Some(RtVal::I64Arr(Arc::clone(&bundle.rows)));
                 env[op.results[1].index()] = Some(RtVal::I64Arr(Arc::clone(&bundle.cols)));
             }
@@ -548,7 +456,7 @@ impl ExecCtx<'_> {
                     .iter()
                     .map(|v| self.value(env, *v))
                     .collect::<Result<_, _>>()?;
-                let results = self.call(&callee, args, frame)?;
+                let results = self.call(&callee, args, stats)?;
                 set(env, &op.results, results);
             }
             OpCode::MemAlloc => {
@@ -584,7 +492,7 @@ impl ExecCtx<'_> {
                     .iter()
                     .map(|v| self.int(env, *v))
                     .collect::<Result<_, _>>()?;
-                frame.stats.loads += 1;
+                stats.loads += 1;
                 env[op.results[0].index()] = Some(RtVal::F64(b.load(&idx)));
             }
             OpCode::MemStore => {
@@ -594,7 +502,7 @@ impl ExecCtx<'_> {
                     .iter()
                     .map(|x| self.int(env, *x))
                     .collect::<Result<_, _>>()?;
-                frame.stats.stores += 1;
+                stats.stores += 1;
                 b.store(&idx, v);
             }
             OpCode::MemSubview => {
@@ -633,7 +541,7 @@ impl ExecCtx<'_> {
                     Type::Vector { len, .. } => *len,
                     _ => return Err(ExecError::new("transfer_read result not vector")),
                 };
-                frame.stats.vector_loads += 1;
+                stats.vector_loads += 1;
                 env[op.results[0].index()] = Some(RtVal::Vec(b.load_vector(&idx, lanes)));
             }
             OpCode::VecTransferWrite => {
@@ -646,7 +554,7 @@ impl ExecCtx<'_> {
                     .iter()
                     .map(|x| self.int(env, *x))
                     .collect::<Result<_, _>>()?;
-                frame.stats.vector_stores += 1;
+                stats.vector_stores += 1;
                 b.store_vector(&idx, &v);
             }
             OpCode::VecExtract => {
@@ -665,9 +573,9 @@ impl ExecCtx<'_> {
                 };
                 env[op.results[0].index()] = Some(RtVal::Vec(vec![s; lanes]));
             }
-            OpCode::CfdStencil => self.exec_stencil_ref(body, op_id, env, frame)?,
-            OpCode::LinalgPointwise => self.exec_pointwise_ref(body, op_id, env, frame)?,
-            OpCode::CfdFaceIterator => self.exec_face_ref(body, op_id, env, frame)?,
+            OpCode::CfdStencil => self.exec_stencil_ref(body, op_id, env, stats)?,
+            OpCode::LinalgPointwise => self.exec_pointwise_ref(body, op_id, env, stats)?,
+            OpCode::CfdFaceIterator => self.exec_face_ref(body, op_id, env, stats)?,
             other => {
                 return Err(ExecError::new(format!(
                     "op {other} is not executable (bufferize/lower the module first)"
@@ -716,9 +624,9 @@ impl ExecCtx<'_> {
         body: &Body,
         op_id: OpId,
         env: &mut Env,
-        frame: &mut Frame,
+        stats: &mut ExecStats,
     ) -> Result<(), ExecError> {
-        frame.stats.reference_ops += 1;
+        stats.reference_ops += 1;
         let op = body.op(op_id);
         if op.attrs.get("bufferized").is_none() {
             return Err(ExecError::new("tensor-form cfd.stencil is not executable"));
@@ -769,27 +677,27 @@ impl ExecCtx<'_> {
                     let mut full = vec![v as i64];
                     full.extend_from_slice(&neighbor);
                     let src = if from_y { &y } else { &x };
-                    frame.stats.loads += 1;
+                    stats.loads += 1;
                     args[layout.state_index(o, v)] = RtVal::F64(src.load(&full));
                     for (a, ab) in aux.iter().enumerate() {
-                        frame.stats.loads += 1;
+                        stats.loads += 1;
                         args[layout.aux_index(o, a, v)] = RtVal::F64(ab.load(&full));
                     }
                 }
             }
-            let yields = self.eval_region(body, region, &args, env, frame)?;
+            let yields = self.eval_region(body, region, &args, env, stats)?;
             for v in 0..nb_var {
                 let mut full = vec![v as i64];
                 full.extend_from_slice(&point);
-                frame.stats.loads += 1;
+                stats.loads += 1;
                 let mut sum = b.load(&full);
                 for o in 0..layout.offsets.len() {
                     sum += yields[layout.contrib_yield_index(o, v)].as_f64();
-                    frame.stats.scalar_flops += 1;
+                    stats.scalar_flops += 1;
                 }
                 let d = yields[layout.d_yield_index(v)].as_f64();
-                frame.stats.scalar_flops += 1;
-                frame.stats.stores += 1;
+                stats.scalar_flops += 1;
+                stats.stores += 1;
                 y.store(&full, d * sum);
             }
             // Odometer over tau.
@@ -809,9 +717,9 @@ impl ExecCtx<'_> {
         body: &Body,
         op_id: OpId,
         env: &mut Env,
-        frame: &mut Frame,
+        stats: &mut ExecStats,
     ) -> Result<(), ExecError> {
-        frame.stats.reference_ops += 1;
+        stats.reference_ops += 1;
         let op = body.op(op_id);
         if op.attrs.get("bufferized").is_none() {
             return Err(ExecError::new(
@@ -860,13 +768,13 @@ impl ExecCtx<'_> {
                     for d in 0..k {
                         full.push(point[d] + off[d + 1]);
                     }
-                    frame.stats.loads += 1;
+                    stats.loads += 1;
                     args.push(RtVal::F64(buf.load(&full)));
                 }
-                let yields = self.eval_region(body, region, &args, env, frame)?;
+                let yields = self.eval_region(body, region, &args, env, stats)?;
                 let mut full = vec![v];
                 full.extend_from_slice(&point);
-                frame.stats.stores += 1;
+                stats.stores += 1;
                 out.store(&full, yields[0].as_f64());
                 for d in (0..k).rev() {
                     tau[d] += 1;
@@ -885,9 +793,9 @@ impl ExecCtx<'_> {
         body: &Body,
         op_id: OpId,
         env: &mut Env,
-        frame: &mut Frame,
+        stats: &mut ExecStats,
     ) -> Result<(), ExecError> {
-        frame.stats.reference_ops += 1;
+        stats.reference_ops += 1;
         let op = body.op(op_id);
         if op.attrs.get("bufferized").is_none() {
             return Err(ExecError::new(
@@ -929,20 +837,20 @@ impl ExecCtx<'_> {
                 for v in 0..nb_var {
                     let mut full = vec![v as i64];
                     full.extend_from_slice(cell);
-                    frame.stats.loads += 1;
+                    stats.loads += 1;
                     args.push(RtVal::F64(x.load(&full)));
                 }
             }
-            let flux = self.eval_region(body, region, &args, env, frame)?;
+            let flux = self.eval_region(body, region, &args, env, stats)?;
             if left[axis] >= wlo[axis] {
                 for (v, f) in flux.iter().enumerate() {
                     let mut full = vec![v as i64];
                     full.extend_from_slice(&left);
                     let cur = b.load(&full);
                     b.store(&full, cur + f.as_f64());
-                    frame.stats.loads += 1;
-                    frame.stats.stores += 1;
-                    frame.stats.scalar_flops += 1;
+                    stats.loads += 1;
+                    stats.stores += 1;
+                    stats.scalar_flops += 1;
                 }
             }
             if right[axis] < whi[axis] {
@@ -951,9 +859,9 @@ impl ExecCtx<'_> {
                     full.extend_from_slice(&right);
                     let cur = b.load(&full);
                     b.store(&full, cur - f.as_f64());
-                    frame.stats.loads += 1;
-                    frame.stats.stores += 1;
-                    frame.stats.scalar_flops += 1;
+                    stats.loads += 1;
+                    stats.stores += 1;
+                    stats.scalar_flops += 1;
                 }
             }
             for d in (0..k).rev() {
@@ -1085,12 +993,5 @@ mod tests {
         let m = Module::new("t");
         let mut interp = Interpreter::new();
         assert!(interp.call(&m, "nope", vec![]).is_err());
-    }
-
-    #[test]
-    fn threads_knob_clamps_to_one() {
-        assert_eq!(Interpreter::with_threads(0).threads(), 1);
-        assert_eq!(Interpreter::with_threads(4).threads(), 4);
-        assert_eq!(Interpreter::new().threads(), 1);
     }
 }

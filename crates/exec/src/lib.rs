@@ -43,7 +43,6 @@ pub mod driver;
 pub mod interp;
 pub mod parallel;
 pub(crate) mod runspec;
-pub use runspec::phase_timing;
 pub mod stats;
 pub mod value;
 

@@ -32,11 +32,15 @@
 //!   replacing the barrier's publication role (see `DESIGN.md`
 //!   §4f/§4g/§4j).
 //!
-//! Both run closures over *linearized sub-domain indices* with private
-//! per-worker state (the engines run `scf.execute_wavefronts` bodies
-//! with a per-thread register file or environment and statistics frame),
-//! merge every worker's state on the calling thread, and propagate the
-//! first error and any worker panic.
+//! Each entry point has exactly one worker body, at every thread count.
+//! Worker 0 runs on the calling thread inside the [`thread::scope`], so
+//! a lone worker spawns nothing; it also skips the level barrier, whose
+//! one-party wait would still cost a futex round trip per level. Both
+//! run closures over *linearized sub-domain indices* with private
+//! per-worker state (the bytecode engine runs `scf.execute_wavefronts`
+//! bodies with a per-thread register file and statistics frame), merge
+//! every worker's state on the calling thread, and propagate the first
+//! error and any worker panic.
 //!
 //! [`SweepGraph`]: instencil_pattern::dataflow::SweepGraph
 
@@ -162,9 +166,10 @@ impl WavefrontPool {
     /// a [`Barrier`] separates consecutive levels, which is what
     /// publishes one level's buffer stores to the next; see
     /// [`crate::buffer`]). Within a level the sub-domain indices are
-    /// split into contiguous chunks, one per worker. When the run
-    /// finishes (or fails), every worker's state is handed to `merge` on
-    /// the calling thread.
+    /// split into contiguous chunks, one per worker. A lone worker runs
+    /// the same body on the calling thread without waiting on the
+    /// barrier. When the run finishes (or fails), every worker's state
+    /// is handed to `merge` on the calling thread.
     ///
     /// State is always merged — including the partial state of a worker
     /// that failed — so additive counters (e.g. [`crate::ExecStats`])
@@ -196,37 +201,6 @@ impl WavefrontPool {
         let record = self.obs.enabled();
         let detail = self.obs.detail_enabled();
         let mut level_records: Vec<LevelRecord> = Vec::new();
-        if self.threads == 1 {
-            let _tg = trace::install(self.obs.worker_tracer(0));
-            let mut state = init();
-            let mut outcome = Ok(());
-            'levels: for (index, level) in schedule.levels().enumerate() {
-                let checker = overlap::LevelChecker::new();
-                let t0 = record.then(Instant::now);
-                let ts = trace::begin();
-                let mut done = 0u64;
-                for &b in level {
-                    let _wg = checker.guard(b);
-                    if let Err(e) = work(&mut state, b) {
-                        outcome = Err(e);
-                        done += 1; // the failing block still ran
-                        trace::end(TraceKind::Task, ts, index as u32, done as u32);
-                        self.push_level(&mut level_records, index, level.len(), t0, detail, done);
-                        break 'levels;
-                    }
-                    done += 1;
-                }
-                if outcome.is_ok() {
-                    if done > 0 {
-                        trace::end(TraceKind::Task, ts, index as u32, done as u32);
-                    }
-                    self.push_level(&mut level_records, index, level.len(), t0, detail, done);
-                }
-            }
-            merge(state);
-            self.flush_levels(1, level_records);
-            return outcome;
-        }
         if schedule.num_blocks() == 0 {
             // Nothing to run: spawn no workers, merge no states.
             self.flush_levels(self.threads, level_records);
@@ -246,6 +220,14 @@ impl WavefrontPool {
             .map(|_| overlap::LevelChecker::new())
             .collect();
         let barrier = Barrier::new(threads);
+        // A lone worker has no peer to align with or publish to — program
+        // order already separates its levels — and a one-party
+        // `Barrier::wait` still costs a futex round trip per level.
+        let sync = || {
+            if threads > 1 {
+                barrier.wait();
+            }
+        };
         // Index of the earliest level where a worker failed or panicked.
         // This must be a level, not a boolean: a fast worker can race
         // into level L+1 and fail there before a slow worker performs
@@ -271,19 +253,13 @@ impl WavefrontPool {
                 if level.is_empty() {
                     continue;
                 }
-                let t0 = if record && w == 0 {
-                    let t0 = Some(Instant::now());
-                    // Start alignment: no peer enters the level before
-                    // worker 0 has read the clock, so the recorded wall
-                    // covers every worker's chunk.
-                    barrier.wait();
-                    t0
-                } else {
-                    if record {
-                        barrier.wait();
-                    }
-                    None
-                };
+                // Start alignment: no peer enters the level before
+                // worker 0 has read the clock, so the recorded wall
+                // covers every worker's chunk.
+                let t0 = (record && w == 0).then(Instant::now);
+                if record {
+                    sync();
+                }
                 let w0 = detail.then(Instant::now);
                 let ts = trace::begin();
                 let mut done = 0u64;
@@ -333,7 +309,7 @@ impl WavefrontPool {
                 // The end-of-level barrier: publishes this level's
                 // stores to the next level and lines every worker up on
                 // the same stop decision.
-                barrier.wait();
+                sync();
                 if let Some(t0) = t0 {
                     walls.lock().unwrap().push((index, t0.elapsed().as_nanos() as u64));
                 }
@@ -436,7 +412,8 @@ impl WavefrontPool {
     /// from the front of its peers' deques in the machine's
     /// NUMA-near-first rotated order, then backs off — `SPIN_ROUNDS`
     /// yields, then exponential sleep capped at `MAX_PARK_US` — until
-    /// every node has retired.
+    /// every node has retired. A lone worker runs this same loop on the
+    /// calling thread, its own deque holding the whole ready set.
     ///
     /// Within a sweep, blocks of a task run in ascending flat order;
     /// across sweeps the cross edges reproduce the L/U in-place
@@ -477,7 +454,6 @@ impl WavefrontPool {
             return Ok(());
         }
         let sgraph = bundle.sweep_graph(self.grain_for(graph), sweeps);
-        let tasks = sgraph.tasks();
         let n_tasks = sgraph.num_tasks();
         let total = sgraph.num_nodes();
         let record = self.obs.enabled();
@@ -487,93 +463,11 @@ impl WavefrontPool {
         // (k = 1) drain, so eager runs keep the untagged worker lanes.
         let tag = move |sweep: usize| if sweeps > 1 { sweep as u32 + 1 } else { 0 };
 
-        if self.threads == 1 {
-            // Readies one successor node: the first task a retirement
-            // unlocks is kept in hand (work-first), surplus goes to the
-            // LIFO stack. Plain counters — no other thread exists.
-            fn offer(indeg: &mut [u32], in_hand: &mut Option<u32>, stack: &mut Vec<u32>, nd: u32) {
-                let d = &mut indeg[nd as usize];
-                *d -= 1;
-                if *d == 0 {
-                    if in_hand.is_none() {
-                        *in_hand = Some(nd);
-                    } else {
-                        stack.push(nd);
-                    }
-                }
-            }
-            let _tg = trace::install(self.obs.worker_tracer(0));
-            let t0 = record.then(Instant::now);
-            let mut state = init();
-            let mut outcome = Ok(());
-            let mut done = 0u64;
-            let mut indeg: Vec<u32> = Vec::with_capacity(total);
-            for s in 0..sweeps {
-                for t in 0..n_tasks {
-                    indeg.push(sgraph.in_degree(s, t));
-                }
-            }
-            // Roots live only in sweep 0; reversed so the stack pops
-            // them in ascending task order.
-            let mut stack: Vec<u32> = sgraph.roots();
-            stack.reverse();
-            let mut in_hand: Option<u32> = None;
-            'drain: while let Some(node) = in_hand.take().or_else(|| stack.pop()) {
-                let (sweep, task) = sgraph.split(node as usize);
-                let ts = trace::begin();
-                let mut ran = 0u32;
-                for b in tasks.blocks_of(task) {
-                    let _wg = checker.guard(sweep, b);
-                    if let Err(e) = work(&mut state, sweep, b) {
-                        trace::end_sweep(TraceKind::Task, ts, task as u32, ran, tag(sweep));
-                        outcome = Err(e);
-                        break 'drain;
-                    }
-                    ran += 1;
-                }
-                done += u64::from(ran);
-                trace::end_sweep(TraceKind::Task, ts, task as u32, ran, tag(sweep));
-                // Cross-sweep successors first: with the in-hand
-                // preference this descends the temporal diagonal —
-                // (t, s) hands off to (t', s+1) with t' ≤ t while the
-                // stripe is still hot — instead of finishing sweep `s`
-                // wall-to-wall before touching sweep `s+1`.
-                if sweep + 1 < sweeps {
-                    for &x in sgraph.cross_successors(task) {
-                        let nd = sgraph.node(sweep + 1, x as usize) as u32;
-                        offer(&mut indeg, &mut in_hand, &mut stack, nd);
-                    }
-                }
-                for &x in sgraph.intra_successors(task) {
-                    let nd = sgraph.node(sweep, x as usize) as u32;
-                    offer(&mut indeg, &mut in_hand, &mut stack, nd);
-                }
-            }
-            debug_assert!(outcome.is_err() || done == (n * sweeps) as u64);
-            merge(state);
-            if let Some(t0) = t0 {
-                self.flush_dataflow(
-                    1,
-                    n,
-                    sweeps,
-                    t0.elapsed().as_nanos() as u64,
-                    detail.then(|| {
-                        vec![WorkerStats {
-                            busy_ns: t0.elapsed().as_nanos() as u64,
-                            blocks: done,
-                            ..WorkerStats::default()
-                        }]
-                    }),
-                );
-            }
-            return outcome;
-        }
-
-        // Multi-thread: the work-stealing worker loop over sweep-extended
-        // nodes. Sharding is by *task* so every sweep of a stripe lands
-        // on the worker whose cache already holds it. No point spawning
-        // more workers than tasks: the surplus would only spin on empty
-        // deques until the run retires.
+        // The work-stealing worker loop over sweep-extended nodes.
+        // Sharding is by *task* so every sweep of a stripe lands on the
+        // worker whose cache already holds it. No point spawning more
+        // workers than tasks: the surplus would only spin on empty deques
+        // until the run retires.
         let threads = self.threads.min(n_tasks);
         let indeg: Vec<AtomicU32> = (0..total)
             .map(|node| {
@@ -676,9 +570,10 @@ impl WavefrontPool {
                         }
                         st.blocks += ran;
                         st.fused += chain - 1;
-                        // Cross-sweep successors first, mirroring the
-                        // sequential drain: the in-hand preference
-                        // favors the temporal diagonal, and the self
+                        // Cross-sweep successors first: with the in-hand
+                        // preference this descends the temporal diagonal
+                        // — (t, s) hands off to (t', s+1) with t' ≤ t
+                        // while the stripe is still hot — and the self
                         // edge (t, s) → (t, s+1) stays on this worker
                         // by construction of the task-keyed shard map.
                         let mut offer = |x: u32, nd: u32| {
@@ -790,36 +685,6 @@ impl WavefrontPool {
         });
     }
 
-    /// Closes one single-thread level record (`blocks_done` is the lone
-    /// worker's executed-block count).
-    fn push_level(
-        &self,
-        records: &mut Vec<LevelRecord>,
-        index: usize,
-        width: usize,
-        t0: Option<Instant>,
-        detail: bool,
-        blocks_done: u64,
-    ) {
-        let Some(t0) = t0 else { return };
-        let wall_ns = t0.elapsed().as_nanos() as u64;
-        let workers = if detail {
-            vec![WorkerRecord {
-                busy_ns: wall_ns,
-                blocks: blocks_done,
-                ..WorkerRecord::default()
-            }]
-        } else {
-            Vec::new()
-        };
-        records.push(LevelRecord {
-            index,
-            blocks: width as u64,
-            wall_ns,
-            workers,
-        });
-    }
-
     /// Publishes the accumulated per-level records as one
     /// [`WavefrontRecord`] (no-op when nothing was recorded).
     /// `threads` is the *effective* worker count after the width clamp.
@@ -836,8 +701,9 @@ impl WavefrontPool {
 }
 
 /// Runs the `scf.execute_wavefronts` schedule whose transport arrays
-/// are `(rows, cols)` `sweeps` times on `pool` — the dispatch both
-/// engines share. A batch (`sweeps > 1`) or the pool's
+/// are `(rows, cols)` `sweeps` times on `pool` — the bytecode engine's
+/// dispatch (the reference interpreter walks the levels itself, with no
+/// pool). A batch (`sweeps > 1`) or the pool's
 /// [`Scheduler::Dataflow`] knob takes the graph drain
 /// ([`WavefrontPool::try_execute_sweep_batch`]), recovering the
 /// dependence graph from the Arc identity of `cols` (minted by
@@ -1039,28 +905,32 @@ mod tests {
 
     #[test]
     fn stateful_propagates_worker_panics_with_payload() {
+        // One thread included: a lone worker's panic goes through the
+        // same catch, merge and re-raise as a spawned worker's.
         let csr = CsrWavefronts::from_rows(vec![vec![0, 1, 2, 3]]);
-        let err = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            WavefrontPool::new(2)
-                .try_execute_stateful(
-                    &csr,
-                    || (),
-                    |(), b| {
-                        if b == 1 {
-                            panic!("block {b} exploded");
-                        }
-                        Ok::<(), ()>(())
-                    },
-                    |()| {},
-                )
-                .unwrap();
-        }))
-        .expect_err("worker panic must propagate");
-        let msg = err
-            .downcast_ref::<String>()
-            .cloned()
-            .unwrap_or_default();
-        assert_eq!(msg, "block 1 exploded", "original payload must survive");
+        for threads in [1usize, 2] {
+            let err = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                WavefrontPool::new(threads)
+                    .try_execute_stateful(
+                        &csr,
+                        || (),
+                        |(), b| {
+                            if b == 1 {
+                                panic!("block {b} exploded");
+                            }
+                            Ok::<(), ()>(())
+                        },
+                        |()| {},
+                    )
+                    .unwrap();
+            }))
+            .expect_err("worker panic must propagate");
+            let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
+            assert_eq!(
+                msg, "block 1 exploded",
+                "threads={threads}: original payload must survive"
+            );
+        }
     }
 
     // The eager dataflow scheduler is the graph drain at k = 1.

@@ -557,9 +557,7 @@ pub(crate) fn build_plan(
         patch_bases(scratch);
         return true;
     }
-    let t_miss = phase_timing::enabled().then(std::time::Instant::now);
     let t_compile = trace::begin();
-    phase_timing::count_miss();
     // Expand the merged table into per-op access plans: classification,
     // forwarding, and hazard analysis below see exactly what per-op
     // resolution used to produce (the bases are the same integers —
@@ -801,18 +799,6 @@ pub(crate) fn build_plan(
     debug_assert!(row_cursor as usize <= row_budget);
     fuse_stream_loads(scratch);
     build_steady(scratch, n, row_budget, vals_end);
-    if std::env::var_os("INSTENCIL_RUN_DEBUG").is_some() && scratch.cached_spec == 0 {
-        eprintln!(
-            "plan: probe={} probe_iv={} ops={} accs={}",
-            spec.probe.len(),
-            spec.probe_iv.len(),
-            spec.ops.len(),
-            scratch.acc.len()
-        );
-        eprintln!("plan: stream={:?}", scratch.stream);
-        eprintln!("plan: rec_first={:?}", scratch.rec_first);
-        eprintln!("plan: rec_steady={:?}", scratch.rec_steady);
-    }
     // Record the cache signature for the next run (over the merged
     // table: per-op signatures are an affine expansion of the entry
     // signatures, so entry-level equality implies op-level equality).
@@ -894,9 +880,6 @@ pub(crate) fn build_plan(
     scratch.inv_vals.dedup_by_key(|&mut (r, _)| r);
     scratch.inv_vvals.sort_unstable_by_key(|&(r, _)| r);
     scratch.inv_vvals.dedup_by_key(|&mut (r, _)| r);
-    if let Some(t) = t_miss {
-        phase_timing::record_miss_ns(t.elapsed());
-    }
     trace::end(
         TraceKind::PlanCompile,
         t_compile,
@@ -2013,9 +1996,9 @@ fn chain_store_loop_w(
                     aread(arena, lk.other, l)
                 };
                 acc = if lk.acc_rhs {
-                    lk.op.apply(x, acc)
+                    link_apply(lk.op, x, acc)
                 } else {
-                    lk.op.apply(acc, x)
+                    link_apply(lk.op, acc, x)
                 };
             }
             let addr = (lane.base + t * lane.delta) as usize;
@@ -2139,6 +2122,29 @@ fn exec_point(ops: &[ROp], arena: &mut [f64], t: isize, l: usize) {
     }
 }
 
+/// [`FOp::apply`] for one link of a register-carried chain loop. The
+/// links of a stencil chain are adds, subtracts and multiplies; testing
+/// those first keeps the serial chain off `apply`'s jump table, whose
+/// one indirect branch per link made the loop's speed hinge on where the
+/// linker happened to place it. Same operation, same operand order, so
+/// the bits are unchanged.
+#[inline(always)]
+fn link_apply(op: FOp, x: f64, y: f64) -> f64 {
+    match op {
+        FOp::Add => x + y,
+        FOp::Sub => x - y,
+        FOp::Mul => x * y,
+        _ => link_apply_rest(op, x, y),
+    }
+}
+
+/// The remaining chain ops, kept out of line so the cases tested above
+/// stay compare-and-branch instead of folding back into a jump table.
+#[inline(never)]
+fn link_apply_rest(op: FOp, x: f64, y: f64) -> f64 {
+    op.apply(x, y)
+}
+
 /// How a chain operand is fetched inside [`chain_store_loop`]: the
 /// register-carried recurrence value, a hoisted loop-invariant, or a
 /// stripe row indexed by the in-chunk position.
@@ -2204,7 +2210,7 @@ fn chain_store_loop(
         let mut acc = fetch(initk);
         for &(op, acc_rhs, k) in ops {
             let x = fetch(k);
-            acc = if acc_rhs { op.apply(x, acc) } else { op.apply(acc, x) };
+            acc = if acc_rhs { link_apply(op, x, acc) } else { link_apply(op, acc, x) };
         }
         #[cfg(debug_assertions)]
         crate::buffer::overlap::note_store_raw(tile.id(), addr as usize, 1);
@@ -2975,63 +2981,6 @@ pub(crate) fn analyze(
         vstores_per_iter: vstores,
         vflops_per_iter: vflops,
     })
-}
-
-/// Diagnostic phase timing for `exec_run`, gated by the
-/// `INSTENCIL_RUNSPEC_TIMING` environment variable. Disabled it costs
-/// one cached bool load per run; enabled it accumulates probe/plan/exec
-/// wall time in process-wide atomics that [`phase_timing::drain`]
-/// returns and resets (printed by the `runspec_phases` example between
-/// measurements).
-pub mod phase_timing {
-    use std::sync::atomic::{AtomicU64, Ordering};
-    use std::sync::OnceLock;
-    use std::time::Duration;
-
-    static ENABLED: OnceLock<bool> = OnceLock::new();
-    static PROBE_NS: AtomicU64 = AtomicU64::new(0);
-    static PLAN_NS: AtomicU64 = AtomicU64::new(0);
-    static EXEC_NS: AtomicU64 = AtomicU64::new(0);
-    static RUNS: AtomicU64 = AtomicU64::new(0);
-    static POINTS: AtomicU64 = AtomicU64::new(0);
-    static MISSES: AtomicU64 = AtomicU64::new(0);
-    static MISS_NS: AtomicU64 = AtomicU64::new(0);
-
-    pub fn enabled() -> bool {
-        *ENABLED.get_or_init(|| std::env::var_os("INSTENCIL_RUNSPEC_TIMING").is_some())
-    }
-
-    pub fn record(probe: Duration, plan: Duration, exec: Duration, n: usize) {
-        PROBE_NS.fetch_add(probe.as_nanos() as u64, Ordering::Relaxed);
-        PLAN_NS.fetch_add(plan.as_nanos() as u64, Ordering::Relaxed);
-        EXEC_NS.fetch_add(exec.as_nanos() as u64, Ordering::Relaxed);
-        RUNS.fetch_add(1, Ordering::Relaxed);
-        POINTS.fetch_add(n as u64, Ordering::Relaxed);
-    }
-
-    pub(crate) fn record_miss_ns(d: std::time::Duration) {
-        MISS_NS.fetch_add(d.as_nanos() as u64, Ordering::Relaxed);
-    }
-
-    pub(crate) fn count_miss() {
-        if enabled() {
-            MISSES.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Drains the accumulated counters, returning `(probe_ns,
-    /// plan_ns, exec_ns, runs, points, plan_misses, miss_ns)`.
-    pub fn drain() -> (u64, u64, u64, u64, u64, u64, u64) {
-        (
-            PROBE_NS.swap(0, Ordering::Relaxed),
-            PLAN_NS.swap(0, Ordering::Relaxed),
-            EXEC_NS.swap(0, Ordering::Relaxed),
-            RUNS.swap(0, Ordering::Relaxed),
-            POINTS.swap(0, Ordering::Relaxed),
-            MISSES.swap(0, Ordering::Relaxed),
-            MISS_NS.swap(0, Ordering::Relaxed),
-        )
-    }
 }
 
 #[cfg(test)]

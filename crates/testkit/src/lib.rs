@@ -12,8 +12,6 @@
 //!   configurable number of seeded cases and reports the failing seed so
 //!   a failure reproduces deterministically.
 
-pub mod bench;
-
 /// Deterministic SplitMix64 pseudo-random generator.
 ///
 /// Streams are fully determined by the seed; the same seed always yields

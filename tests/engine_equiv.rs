@@ -7,20 +7,19 @@
 //! (`RunSpec`); the only thing either is allowed to change is wall-clock
 //! time. These tests drive every §4.2 transformation preset (tr1–tr4) of
 //! the SOR solver, the Euler LU-SGS solver and the gs5 bench kernel
-//! through three engines, both wavefront schedulers (per-level barriers
-//! and the dataflow work-stealing pool) at 1, 2, 4 and 8 wavefront
-//! threads:
+//! through both bytecode flavors, both wavefront schedulers (per-level
+//! barriers and the dataflow work-stealing pool) at 1, 2, 4 and 8 real
+//! wavefront workers:
 //!
-//! * [`Engine::Interp`] — the reference tree-walking interpreter,
-//! * [`Engine::BytecodeDispatch`] — bytecode with run specialization
-//!   off (every point pays full opcode dispatch),
-//! * [`Engine::Bytecode`] — the run-specialized default,
+//! * `BcOptions { specialize_runs: false }` — bytecode with run
+//!   specialization off (every point pays full opcode dispatch),
+//! * [`BcOptions::default`] — the run-specialized default engine,
 //!
-//! and require
+//! against one reference run of the sequential interpreter, and require
 //!
 //! * identical `f64` bit patterns in every output buffer, and
-//! * identical [`ExecStats`](instencil::exec::ExecStats) counters
-//!   (loads, stores, flops, wavefront levels, blocks, …),
+//! * identical [`ExecStats`] counters (loads, stores, flops, wavefront
+//!   levels, blocks, …),
 //!
 //! which is the contract that lets wall-clock numbers be measured on the
 //! bytecode engine while correctness arguments stay with the reference
@@ -29,7 +28,7 @@
 //! runs exercise the scalar epilogue and the sub-`MIN_RUN` generic
 //! fallback of the run-specialized path.
 
-use instencil::exec::BcOptions;
+use instencil::exec::{BcOptions, ExecStats};
 use instencil::prelude::*;
 use instencil::solvers::euler::NV;
 use instencil::solvers::euler_codegen::euler_lusgs_module;
@@ -38,20 +37,53 @@ use instencil::solvers::lusgs::vortex_initial;
 const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
 /// Both wavefront schedulers: per-level barriers and the dataflow
-/// work-stealing pool. The reference runs levels; every other
-/// (engine × scheduler) combination must reproduce its bits and
-/// counters exactly — the dataflow pool reorders *execution*, never
-/// *effects*, because Eq. (3) already makes dependent blocks ordered
-/// and independent blocks disjoint.
+/// work-stealing pool. Every (flavor × scheduler × threads) cell must
+/// reproduce the interpreter's bits and counters exactly — the dataflow
+/// pool reorders *execution*, never *effects*, because Eq. (3) already
+/// makes dependent blocks ordered and independent blocks disjoint.
 const SCHEDULERS: [Scheduler; 2] = [Scheduler::Levels, Scheduler::Dataflow];
 
-/// Every (engine × scheduler) pair checked against the reference,
-/// including the interpreter itself under the dataflow scheduler.
-const PAIRS: [(&str, Engine); 3] = [
-    ("interp", Engine::Interp),
-    ("bytecode", Engine::Bytecode),
-    ("bytecode-dispatch", Engine::BytecodeDispatch),
+/// Both bytecode flavors checked against the interpreter reference.
+const FLAVORS: [(&str, BcOptions); 2] = [
+    (
+        "bytecode",
+        BcOptions {
+            specialize_runs: true,
+        },
+    ),
+    (
+        "bytecode-dispatch",
+        BcOptions {
+            specialize_runs: false,
+        },
+    ),
 ];
+
+/// `sweeps` calls of `func` on the sequential reference interpreter.
+fn interpret(module: &Module, func: &str, args: &[RtVal], sweeps: usize) -> ExecStats {
+    let mut interp = Interpreter::new();
+    for _ in 0..sweeps {
+        interp.call(module, func, args.to_vec()).unwrap();
+    }
+    interp.stats
+}
+
+/// A bytecode engine compiled with `opts`, at `threads` real workers
+/// under `scheduler` (not clamped to the host, unlike a `Runner`).
+fn bytecode(
+    module: &Module,
+    threads: usize,
+    scheduler: Scheduler,
+    opts: BcOptions,
+) -> BytecodeEngine {
+    BytecodeEngine::compile_with_opts(module, threads, Obs::off(), opts)
+        .unwrap()
+        .with_scheduler(scheduler)
+}
+
+fn as_args(bufs: &[BufferView]) -> Vec<RtVal> {
+    bufs.iter().cloned().map(RtVal::Buf).collect()
+}
 
 /// Deterministic non-trivial initial data.
 fn seeded(shape: &[usize]) -> BufferView {
@@ -73,8 +105,8 @@ fn assert_bits_equal(expect: &[f64], got: &[f64], what: &str) {
 }
 
 /// Runs `sweeps` sweeps of `func` on freshly seeded buffers under every
-/// engine and thread count, asserting the candidates reproduce the
-/// interpreter bits and counters exactly.
+/// bytecode flavor, scheduler and thread count, asserting the candidates
+/// reproduce the interpreter bits and counters exactly.
 fn check_all_engines(
     module: &Module,
     func: &str,
@@ -83,24 +115,20 @@ fn check_all_engines(
     sweeps: usize,
     what: &str,
 ) {
+    let fresh = || -> Vec<BufferView> { (0..n_buffers).map(|_| seeded(shape)).collect() };
+    let bufs = fresh();
+    let stats_i = interpret(module, func, &as_args(&bufs), sweeps);
+    let expect = bufs[0].to_vec();
     for threads in THREAD_COUNTS {
-        let run = |engine: Engine, scheduler: Scheduler| {
-            let bufs: Vec<BufferView> = (0..n_buffers).map(|_| seeded(shape)).collect();
-            let stats =
-                run_sweeps_opts(module, func, &bufs, sweeps, threads, engine, scheduler)
-                    .unwrap();
-            (bufs[0].to_vec(), stats)
-        };
-        let (expect, stats_i) = run(Engine::Interp, Scheduler::Levels);
         for scheduler in SCHEDULERS {
-            for (name, engine) in PAIRS {
-                if engine == Engine::Interp && scheduler == Scheduler::Levels {
-                    continue; // the reference itself
-                }
-                let (got, stats_e) = run(engine, scheduler);
+            for (name, opts) in FLAVORS {
+                let bufs = fresh();
+                let mut eng = bytecode(module, threads, scheduler, opts);
+                eng.call_sweeps(func, as_args(&bufs), sweeps).unwrap();
+                let stats_e = eng.stats;
                 let label =
                     format!("{what} {name} scheduler={} threads={threads}", scheduler.name());
-                assert_bits_equal(&expect, &got, &label);
+                assert_bits_equal(&expect, &bufs[0].to_vec(), &label);
                 assert_eq!(stats_i, stats_e, "{label}: engines must count identically");
                 assert!(stats_e.wavefront_levels > 0, "{label}: wavefronts expected");
             }
@@ -242,37 +270,30 @@ fn lusgs_engines_match() {
     let compiled = compile(&module, &PipelineOptions::new(vec![4, 4, 4], vec![2, 2, 2]))
         .expect("euler compiles");
 
-    let run = |threads: usize, engine: Engine, scheduler: Scheduler| {
+    // Two steps, each on fresh `dw`/`b`; the stats are the last step's.
+    let run = |step: &dyn Fn(&[RtVal]) -> ExecStats| {
         let w0 = vortex_initial(n);
         let w = BufferView::from_data(&shape, w0.data().to_vec());
         let dw = BufferView::alloc(&shape);
         let b = BufferView::alloc(&shape);
-        let mut stats = instencil::exec::ExecStats::default();
+        let mut stats = ExecStats::default();
         for _ in 0..2 {
             dw.fill(0.0);
             b.fill(0.0);
-            stats = run_sweeps_opts(
-                &compiled.module,
-                "euler_step",
-                &[w.clone(), dw.clone(), b.clone()],
-                1,
-                threads,
-                engine,
-                scheduler,
-            )
-            .expect("euler step runs");
+            stats = step(&as_args(&[w.clone(), dw.clone(), b.clone()]));
         }
         (w.to_vec(), stats)
     };
 
+    let (expect, stats_i) = run(&|args| interpret(&compiled.module, "euler_step", args, 1));
     for threads in THREAD_COUNTS {
-        let (expect, stats_i) = run(threads, Engine::Interp, Scheduler::Levels);
         for scheduler in SCHEDULERS {
-            for (name, engine) in PAIRS {
-                if engine == Engine::Interp && scheduler == Scheduler::Levels {
-                    continue;
-                }
-                let (got, stats_e) = run(threads, engine, scheduler);
+            for (name, opts) in FLAVORS {
+                let (got, stats_e) = run(&|args| {
+                    let mut eng = bytecode(&compiled.module, threads, scheduler, opts);
+                    eng.call("euler_step", args.to_vec()).unwrap();
+                    eng.stats
+                });
                 let label =
                     format!("lusgs {name} scheduler={} threads={threads}", scheduler.name());
                 assert_bits_equal(&expect, &got, &label);
@@ -400,60 +421,24 @@ fn coarsened_tasks_match_levels_bitwise_across_engines_and_threads() {
     let compiled = compile(&module, &PipelineOptions::new(vec![4, 4], vec![2, 2])).unwrap();
     let shape = [1usize, 34, 34];
 
-    let run = |engine: Option<BcOptions>, threads: usize, scheduler: Scheduler| {
-        let u = seeded(&shape);
-        let b = seeded(&shape);
-        let args = vec![RtVal::Buf(u.clone()), RtVal::Buf(b.clone())];
-        let stats = match engine {
-            None => {
-                let mut interp = Interpreter::with_opts(
-                    threads,
-                    instencil::obs::Obs::off(),
-                    scheduler,
-                );
-                for _ in 0..2 {
-                    interp.call(&compiled.module, "sor", args.clone()).unwrap();
-                }
-                interp.stats
-            }
-            Some(opts) => {
-                let mut eng = BytecodeEngine::compile_with_opts(
-                    &compiled.module,
-                    threads,
-                    instencil::obs::Obs::off(),
-                    opts,
-                )
-                .unwrap()
-                .with_scheduler(scheduler);
-                for _ in 0..2 {
-                    eng.call("sor", args.clone()).unwrap();
-                }
-                eng.stats
-            }
-        };
-        (u.to_vec(), stats)
-    };
-
-    let (expect, stats_ref) = run(None, 1, Scheduler::Levels);
+    let fresh = || [seeded(&shape), seeded(&shape)];
+    let bufs = fresh();
+    let stats_ref = interpret(&compiled.module, "sor", &as_args(&bufs), 2);
+    let expect = bufs[0].to_vec();
     assert!(stats_ref.wavefront_levels > 0, "wavefronts expected");
-    let engines: [(&str, Option<BcOptions>); 3] = [
-        ("interp", None),
-        ("bytecode", Some(BcOptions::default())),
-        (
-            "bytecode-dispatch",
-            Some(BcOptions {
-                specialize_runs: false,
-            }),
-        ),
-    ];
     for threads in [1usize, 2, 4, 8] {
-        for (name, opts) in &engines {
-            let (got, stats) = run(*opts, threads, Scheduler::Dataflow);
+        for (name, opts) in FLAVORS {
+            let bufs = fresh();
+            let mut eng = bytecode(&compiled.module, threads, Scheduler::Dataflow, opts);
+            for _ in 0..2 {
+                eng.call("sor", as_args(&bufs)).unwrap();
+            }
+            let stats = eng.stats;
             let label = format!("{name} dataflow threads={threads}");
             assert!(
                 expect
                     .iter()
-                    .zip(&got)
+                    .zip(&bufs[0].to_vec())
                     .all(|(a, b)| a.to_bits() == b.to_bits()),
                 "{label}: coarsened execution changed result bits"
             );

@@ -19,7 +19,10 @@
 //!   `wavefront overlap: blocks 0 and 1 … flat extent [1, 1]`, under
 //!   levels, the eager dataflow drain and a batched two-sweep drain.
 //!
-//! Release builds compile the checker out, so the panicking halves are
+//! The checkers live in the bytecode engine's worker pool, which runs
+//! the same worker loop at one thread as at many; the sequential
+//! reference interpreter runs no pool and checks nothing. Release builds
+//! compile the checker out, so the panicking halves are
 //! `#[cfg(debug_assertions)]`-gated; the clean half runs everywhere.
 
 use instencil::core::ops::build_get_parallel_blocks;
@@ -84,6 +87,7 @@ fn run_interp(m: &Module) {
         .expect("wavefront module runs");
 }
 
+/// One worker: the levels loop's checker, on the calling thread.
 fn run_bytecode(m: &Module) {
     let b = BufferView::alloc(&[4]);
     BytecodeEngine::compile(m)
@@ -95,13 +99,6 @@ fn run_bytecode(m: &Module) {
 /// The dataflow scheduler replaces the per-level checker with a
 /// graph-reachability checker: two blocks may write a common extent only
 /// if one is an ancestor of the other in the block dependence graph.
-fn run_interp_dataflow(m: &Module) {
-    let b = BufferView::alloc(&[4]);
-    Interpreter::with_opts(2, Obs::off(), Scheduler::Dataflow)
-        .call(m, "wf", vec![RtVal::Buf(b)])
-        .expect("wavefront module runs");
-}
-
 fn run_bytecode_dataflow(m: &Module) {
     let b = BufferView::alloc(&[4]);
     BytecodeEngine::compile_with_threads(m, 2)
@@ -143,7 +140,6 @@ fn correct_schedule_runs_clean_under_dataflow() {
     // Block 1 depends on block 0, so the graph orders them and the
     // shared element-1 write is sound — the dataflow checker must agree.
     let m = two_block_module(honest_deps());
-    run_interp_dataflow(&m);
     run_bytecode_dataflow(&m);
     run_bytecode_batched(&m);
 }
@@ -172,29 +168,17 @@ mod debug_only {
     }
 
     #[test]
-    fn mis_schedule_panics_in_interp() {
-        let m = two_block_module(lying_deps());
-        expect_overlap_panic(move || run_interp(&m));
-    }
-
-    #[test]
     fn mis_schedule_panics_in_bytecode() {
         let m = two_block_module(lying_deps());
         expect_overlap_panic(move || run_bytecode(&m));
     }
 
     #[test]
-    fn mis_schedule_panics_in_interp_dataflow() {
+    fn mis_schedule_panics_in_bytecode_dataflow() {
         // With no dependences both blocks are roots of the block graph
         // — unordered — yet both write element 1: the dataflow-mode
         // reachability checker must object exactly like the per-level
         // checker does under barriers.
-        let m = two_block_module(lying_deps());
-        expect_overlap_panic(move || run_interp_dataflow(&m));
-    }
-
-    #[test]
-    fn mis_schedule_panics_in_bytecode_dataflow() {
         let m = two_block_module(lying_deps());
         expect_overlap_panic(move || run_bytecode_dataflow(&m));
     }

@@ -110,13 +110,15 @@ fn lusgs_parallel_matches_sequential_bitwise() {
             let w = BufferView::from_data(&shape, w0.data().to_vec());
             let dw = BufferView::alloc(&shape);
             let b = BufferView::alloc(&shape);
-            let mut interp = Interpreter::with_threads(threads);
+            // Real workers: the engine, unlike a `Runner`, does not clamp
+            // the count to the host.
+            let mut engine = BytecodeEngine::compile_with_threads(&compiled.module, threads)
+                .expect("euler compiles to bytecode");
             for _ in 0..2 {
                 dw.fill(0.0);
                 b.fill(0.0);
-                interp
+                engine
                     .call(
-                        &compiled.module,
                         "euler_step",
                         vec![
                             RtVal::Buf(w.clone()),
@@ -126,7 +128,7 @@ fn lusgs_parallel_matches_sequential_bitwise() {
                     )
                     .expect("euler step runs");
             }
-            (w.to_vec(), interp.stats)
+            (w.to_vec(), engine.stats)
         };
 
         let (expect, stats_seq) = run(1);
