@@ -43,10 +43,14 @@ cargo test $OFFLINE -q
 echo "==> cargo clippy -D warnings"
 cargo clippy $OFFLINE --workspace --all-targets -- -D warnings
 
-echo "==> obs report smoke (Trace pipeline run, schema-validates the JSON)"
+echo "==> obs report smoke (Trace pipeline run, schema-validates the JSON; fused heat 3D rung check)"
 # The example fails if the emitted report does not validate against the
 # current report schema version, so this doubles as the schema gate.
 cargo run $OFFLINE --release --example obs_report
+# Fused + vectorized heat 3D: fails if its run report shows a
+# runspec-decline or no reused run plan, i.e. if a fused tile loop fell
+# off the run-specialized rung.
+cargo run $OFFLINE --release --example heat3d
 
 echo "==> scheduler trace export (LU-SGS under both schedulers, validates the Perfetto JSON)"
 # Runs the §4.3 LU-SGS solver at ObsLevel::Trace with the levels and the

@@ -35,7 +35,7 @@ use crate::buffer::BufferView;
 use crate::compile::{compile_program, BcCompileError, BcOptions};
 use crate::interp::ExecError;
 use crate::parallel::{self, WavefrontPool};
-use crate::runspec::{self, RunScratch, RunSpec};
+use crate::runspec::{self, RunPlan, RunScratch, RunSpec};
 use crate::stats::ExecStats;
 use crate::value::RtVal;
 
@@ -534,12 +534,12 @@ pub struct BytecodeEngine {
     obs: Obs,
     scheduler: Scheduler,
     /// Run-specialization scratch retired by finished frames and handed
-    /// to new ones, so plan caches survive across calls: the cache
-    /// re-validates by spec address (stable — the specs live in
-    /// `program`, owned by this engine for the pool's whole lifetime),
-    /// run length, access signature, and invariant values, and patches
-    /// every base and tile handle from the current frame's buffers on a
-    /// hit. Without pooling, every call pays one cold plan build per
+    /// to new ones, so plan caches survive across calls: plan slots are
+    /// indexed by the loop numbers of `program` (owned by this engine
+    /// for the pool's whole lifetime), each plan re-validates by run
+    /// length, aliasing signature, and invariant values, and a hit
+    /// patches every base and tile handle from the current frame's
+    /// buffers. Without pooling, every call pays one cold plan build per
     /// specialized loop — at short-run geometries that cold build is
     /// the dominant per-point cost of the wide (vf) tapes.
     #[allow(clippy::vec_box)] // boxed on purpose: frames hold `Box<RunScratch>`,
@@ -762,6 +762,24 @@ struct BcCtx<'p> {
 }
 
 impl BcCtx<'_> {
+    /// Hands a new frame a warm run scratch from the engine pool, when
+    /// one is free.
+    fn checkout(&self, regs: &mut Regs) {
+        if let Some(rs) = self.scratch.lock().unwrap().pop() {
+            regs.rs = rs;
+        }
+    }
+
+    /// Returns a finished frame's run scratch to the engine pool, first
+    /// folding its plan-cache counters into the collector.
+    fn retire(&self, regs: &mut Regs) {
+        let mut rs = std::mem::take(&mut regs.rs);
+        let builds = std::mem::take(&mut rs.builds);
+        let reuses = std::mem::take(&mut rs.reuses);
+        self.pool.obs().count_plans(builds, reuses);
+        self.scratch.lock().unwrap().push(rs);
+    }
+
     fn call(
         &self,
         fi: usize,
@@ -783,17 +801,12 @@ impl BcCtx<'_> {
         // tracers over this one for the duration of a parallel region.
         let _tracer = trace::install(self.pool.obs().worker_tracer(trace::DRIVER));
         let mut regs = Regs::new(func);
-        if let Some(rs) = self.scratch.lock().unwrap().pop() {
-            regs.rs = rs;
-        }
+        self.checkout(&mut regs);
         for ((kind, reg), val) in func.args.iter().zip(args) {
             regs.set_rtval(*reg, *kind, val)?;
         }
         let run = self.run_tape(func, 0, &mut regs, stats);
-        self.scratch
-            .lock()
-            .unwrap()
-            .push(std::mem::take(&mut regs.rs));
+        self.retire(&mut regs);
         run?;
         func.tapes[0]
             .term
@@ -829,9 +842,7 @@ impl BcCtx<'_> {
             batchable_wavefronts(func).expect("caller checked batchability");
         let _tracer = trace::install(self.pool.obs().worker_tracer(trace::DRIVER));
         let mut regs = Regs::new(func);
-        if let Some(rs) = self.scratch.lock().unwrap().pop() {
-            regs.rs = rs;
-        }
+        self.checkout(&mut regs);
         for ((kind, reg), val) in func.args.iter().zip(args) {
             regs.set_rtval(*reg, *kind, val)?;
         }
@@ -848,10 +859,7 @@ impl BcCtx<'_> {
                 }
                 self.exec_wavefronts(func, rows, cols, block, body, sweeps, &mut regs, stats)
             });
-        self.scratch
-            .lock()
-            .unwrap()
-            .push(std::mem::take(&mut regs.rs));
+        self.retire(&mut regs);
         run?;
         func.tapes[0]
             .term
@@ -1114,17 +1122,12 @@ impl BcCtx<'_> {
                 } => {
                     let callee = &self.program.funcs[*callee_idx as usize];
                     let mut callee_regs = Regs::new(callee);
-                    if let Some(rs) = self.scratch.lock().unwrap().pop() {
-                        callee_regs.rs = rs;
-                    }
+                    self.checkout(&mut callee_regs);
                     for (&src, (_, dst)) in args.iter().zip(&callee.args) {
                         cross_move(regs, src, &mut callee_regs, *dst);
                     }
                     let run = self.run_tape(callee, 0, &mut callee_regs, stats);
-                    self.scratch
-                        .lock()
-                        .unwrap()
-                        .push(std::mem::take(&mut callee_regs.rs));
+                    self.retire(&mut callee_regs);
                     run?;
                     let term = &callee.tapes[0].term;
                     for (&src, &dst) in term.iter().zip(results.iter()) {
@@ -1262,79 +1265,28 @@ impl BcCtx<'_> {
         if n < runspec::MIN_RUN {
             return false;
         }
-        // Negative plan-cache entry: a loop that failed probing or
-        // buffer resolution once will fail the same way every sweep
-        // (those depend on the spec and the frame's buffer bindings,
-        // not on n), so skip straight to the always-correct generic
-        // path instead of re-paying the probe + resolve cost each run.
-        let spec_addr = spec as *const RunSpec as usize;
-        if regs.rs.declined.contains(&spec_addr) {
+        // Negative verdict: a loop that failed probing or buffer
+        // resolution once will fail the same way every sweep (those
+        // depend on the spec and the frame's buffer bindings, not on
+        // n), so skip straight to the always-correct generic path
+        // instead of re-paying the probe + resolve cost each run.
+        let slot = spec.slot as usize;
+        if regs.rs.slots.len() <= slot {
+            regs.rs.slots.resize_with(slot + 1, RunPlan::default);
+        }
+        if regs.rs.slots[slot].declined || !Self::resolve_run(spec, n, lb, step, iv, regs) {
+            regs.rs.slots[slot].declined = true;
             return false;
         }
-        // Probe the body's integer/constant subset at `lb`, then
-        // re-evaluate only its iv-dependent part at `lb + step`; the
-        // index deltas resolve every access to base + t·delta form.
-        // The probe counts no stats — the real counts are bulk-added
-        // below, identical to n generic iterations. Probe errors (e.g.
-        // division by zero) fall back so the generic loop raises them
-        // with exact accounting.
-        let mut rs = std::mem::take(&mut regs.rs);
-        regs.i[iv as usize] = lb;
-        if !runspec::run_probe(&spec.probe, regs) {
-            rs.declined.push(spec_addr);
-            regs.rs = rs;
-            return false;
-        }
-        rs.idx0.clear();
-        rs.idx0.extend(spec.idx_regs.iter().map(|&r| regs.i[r as usize]));
-        regs.i[iv as usize] = lb + step;
-        if !runspec::run_probe(&spec.probe_iv, regs) {
-            rs.declined.push(spec_addr);
-            regs.rs = rs;
-            return false;
-        }
-        rs.idx1.clear();
-        rs.idx1.extend(spec.idx_regs.iter().map(|&r| regs.i[r as usize]));
-        // Resolve each merged access-table entry: flat base at t = 0,
-        // per-iteration flat delta, raw tile view. Both run endpoints
-        // go through the checked indexing path — every per-dimension
-        // index is linear in t, so in-bounds endpoints (at lanes 0 and
-        // `lanes − 1`) bound all n iterations of every member access.
-        // The table collapses lane-unrolled access groups, so the
-        // per-run resolve/compare/patch cost is per *group*, not per
-        // unrolled op.
-        rs.tab.clear();
-        let mut cursor = 0usize;
-        for (ti, a) in spec.accs.iter().enumerate() {
-            let Some(view) = regs.b[a.buf as usize].as_ref() else {
-                rs.declined.push(spec_addr);
-                regs.rs = rs;
-                return false;
-            };
-            let i0 = &rs.idx0[cursor..cursor + a.idx.len()];
-            let i1 = &rs.idx1[cursor..cursor + a.idx.len()];
-            cursor += a.idx.len();
-            let (base, delta, lane_stride) = view.resolve_run_lanes(i0, i1, n, a.lanes as usize);
-            #[cfg(debug_assertions)]
-            if a.store {
-                crate::buffer::overlap::pin_storage(view.storage());
-            }
-            rs.tab.push(runspec::AccessPlan {
-                base,
-                delta,
-                lane_stride,
-                lanes: a.lanes,
-                tile: view.tile_view(),
-                pos: ti as u32,
-                store: a.store,
-            });
-        }
-        let hit = runspec::build_plan(spec, n, &regs.f, &regs.v, &mut rs);
+        let rs = &mut *regs.rs;
+        let plan = &mut rs.slots[slot];
+        let hit = runspec::build_plan(spec, n, &regs.f, &regs.v, plan);
+        *if hit { &mut rs.reuses } else { &mut rs.builds } += 1;
         if self.pool.obs().detail_enabled() {
             // Consecutive hits coalesce into one event (a tail compare,
             // no clock read), keeping the per-run Trace cost flat; the
             // compile duration itself is emitted inside `build_plan`.
-            let spec_id = (spec_addr >> 4) as u32;
+            let spec_id = (spec as *const RunSpec as usize >> 4) as u32;
             if hit {
                 trace::coalesce(TraceKind::PlanHit, spec_id);
             } else {
@@ -1344,13 +1296,13 @@ impl BcCtx<'_> {
         let mut t0 = 0usize;
         while t0 < n {
             let m = (n - t0).min(runspec::CHUNK);
-            runspec::exec_streamed(&rs.stream, &mut rs.arena, t0, m);
+            runspec::exec_streamed(&plan.stream, &mut plan.arena, t0, m);
             runspec::exec_recurrent(
-                &rs.rec_steady,
-                &rs.prelude,
-                &rs.tab,
-                &rs.acc_map,
-                &mut rs.arena,
+                &plan.rec_steady,
+                &plan.prelude,
+                &plan.tab,
+                &spec.acc_map,
+                &mut plan.arena,
                 t0,
                 m,
             );
@@ -1364,7 +1316,63 @@ impl BcCtx<'_> {
         stats.vector_loads += spec.vloads_per_iter * n;
         stats.vector_stores += spec.vstores_per_iter * n;
         stats.vector_flops += spec.vflops_per_iter * n;
-        regs.rs = rs;
+        true
+    }
+
+    /// Probes the body's integer/constant subset at `lb`, then
+    /// re-evaluates only its iv-dependent part at `lb + step`; the index
+    /// deltas resolve every merged access-table entry to flat base at
+    /// t = 0, per-iteration flat delta, and raw tile view, into the
+    /// loop's slot. The probe counts no stats — the caller bulk-adds
+    /// counts identical to n generic iterations. Returns `false` on a
+    /// probe error (e.g. division by zero) or an unset buffer, so the
+    /// generic loop raises it with exact accounting.
+    ///
+    /// Both run endpoints go through the checked indexing path — every
+    /// per-dimension index is linear in t, so in-bounds endpoints (at
+    /// lanes 0 and `lanes − 1`) bound all n iterations of every member
+    /// access. The table collapses lane-unrolled access groups, so the
+    /// per-run resolve/compare/patch cost is per *group*, not per
+    /// unrolled op.
+    fn resolve_run(spec: &RunSpec, n: usize, lb: i64, step: i64, iv: u32, regs: &mut Regs) -> bool {
+        let Regs { f, i, v, b, rs, .. } = regs;
+        i[iv as usize] = lb;
+        if !runspec::run_probe(&spec.probe, i, f, v, b) {
+            return false;
+        }
+        rs.idx0.clear();
+        rs.idx0.extend(spec.idx_regs.iter().map(|&r| i[r as usize]));
+        i[iv as usize] = lb + step;
+        if !runspec::run_probe(&spec.probe_iv, i, f, v, b) {
+            return false;
+        }
+        rs.idx1.clear();
+        rs.idx1.extend(spec.idx_regs.iter().map(|&r| i[r as usize]));
+        let tab = &mut rs.slots[spec.slot as usize].tab;
+        tab.clear();
+        let mut cursor = 0usize;
+        for (ti, a) in spec.accs.iter().enumerate() {
+            let Some(view) = b[a.buf as usize].as_ref() else {
+                return false;
+            };
+            let i0 = &rs.idx0[cursor..cursor + a.idx.len()];
+            let i1 = &rs.idx1[cursor..cursor + a.idx.len()];
+            cursor += a.idx.len();
+            let (base, delta, lane_stride) = view.resolve_run_lanes(i0, i1, n, a.lanes as usize);
+            #[cfg(debug_assertions)]
+            if a.store {
+                crate::buffer::overlap::pin_storage(view.storage());
+            }
+            tab.push(runspec::AccessPlan {
+                base,
+                delta,
+                lane_stride,
+                lanes: a.lanes,
+                tile: view.tile_view(),
+                pos: ti as u32,
+                store: a.store,
+            });
+        }
         true
     }
 
@@ -1401,9 +1409,7 @@ impl BcCtx<'_> {
             sweeps,
             || {
                 let mut r = base.clone();
-                if let Some(rs) = self.scratch.lock().unwrap().pop() {
-                    r.rs = rs;
-                }
+                self.checkout(&mut r);
                 (r, ExecStats::default())
             },
             |state: &mut (Regs, ExecStats), b| {
@@ -1413,10 +1419,7 @@ impl BcCtx<'_> {
                 self.run_tape(func, body, worker_regs, worker_stats)
             },
             |(mut worker_regs, worker_stats)| {
-                self.scratch
-                    .lock()
-                    .unwrap()
-                    .push(std::mem::take(&mut worker_regs.rs));
+                self.retire(&mut worker_regs);
                 stats.merge(&worker_stats);
             },
         )

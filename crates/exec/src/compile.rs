@@ -106,10 +106,11 @@ pub(crate) fn compile_program(
     // Callee indices resolve against module order (call targets may be
     // defined after their callers).
     let names: Vec<&str> = module.funcs().iter().map(|f| f.name.as_str()).collect();
+    let mut run_loops = 0u32;
     let funcs = module
         .funcs()
         .iter()
-        .map(|f| compile_func(f, &names, opts, obs))
+        .map(|f| compile_func(f, &names, opts, obs, &mut run_loops))
         .collect::<Result<Vec<_>, _>>()?;
     Ok(BcProgram { funcs })
 }
@@ -154,6 +155,9 @@ struct FnCompiler<'m> {
     /// lane-unrolled accesses whose offsets route through hoisted
     /// constants.
     const_i: HashMap<u32, i64>,
+    /// Specialized loops numbered so far, program-wide: each
+    /// [`runspec::RunSpec`] takes the next number as its plan slot.
+    run_loops: u32,
 }
 
 fn compile_func(
@@ -161,6 +165,7 @@ fn compile_func(
     names: &[&str],
     opts: BcOptions,
     obs: &Obs,
+    run_loops: &mut u32,
 ) -> Result<BcFunc, BcCompileError> {
     let body = &func.body;
     let mut c = FnCompiler {
@@ -176,9 +181,11 @@ fn compile_func(
         num_a: 0,
         runspec_declines: Vec::new(),
         const_i: HashMap::new(),
+        run_loops: *run_loops,
     };
     let entry = c.compile_block(body.entry_block())?;
     debug_assert_eq!(entry, 0, "entry block must be tape 0");
+    *run_loops = c.run_loops;
     let entry_args = &body.block(body.entry_block()).args;
     let args = func
         .arg_types
@@ -638,7 +645,11 @@ impl FnCompiler<'_> {
                     && res_moves.is_empty()
                 {
                     match runspec::analyze(&self.tapes[body_tape as usize], iv, &self.const_i) {
-                        Ok(spec) => Some(Box::new(spec)),
+                        Ok(spec) => {
+                            let slot = self.run_loops;
+                            self.run_loops += 1;
+                            Some(Box::new(runspec::RunSpec { slot, ..spec }))
+                        }
                         Err(reason) => {
                             if reason != "nested control flow" {
                                 self.runspec_declines.push((body_tape, reason));

@@ -163,6 +163,9 @@ pub(crate) enum ProbeOp {
 /// attached to `Instr::For`.
 #[derive(Clone, Debug)]
 pub(crate) struct RunSpec {
+    /// Loop number, unique within the compiled program: the index of
+    /// this loop's plan slot in every frame's [`RunScratch`].
+    pub slot: u32,
     /// The body's integer/constant subset in body order, run once per
     /// loop execution (at `lb`) to resolve accesses; float constants
     /// land in their registers as a side effect.
@@ -466,33 +469,58 @@ pub(crate) struct WLane {
     pub acc: u16,
 }
 
-/// Reusable per-frame run state. Lives in the register file so repeated
-/// runs (every tile row of every block) reuse the allocations; cloning
-/// a frame for a wavefront worker hands out *empty* scratch instead of
-/// copying plans that are only valid mid-run. The engine additionally
-/// pools scratch across calls: the plan cache below re-validates by
-/// spec address, run length, signature, and invariant values before any
-/// cached state is trusted (and [`patch_bases`] refreshes every pointer
-/// from the current frame), so a warm scratch from a previous call
-/// turns the per-call cold plan build into a patch-only hit.
+/// Reusable per-frame run state: one [`RunPlan`] slot per specialized
+/// loop of the program, indexed by [`RunSpec::slot`] (the loop number
+/// the bytecode compiler assigns), plus the per-run index snapshots.
+/// Lives in the register file so repeated runs (every tile row of every
+/// block) reuse the allocations; cloning a frame for a wavefront worker
+/// hands out *empty* scratch instead of copying plans that are only
+/// valid mid-run. The engine additionally pools scratch across calls:
+/// each slot's plan re-validates by run length, aliasing signature, and
+/// invariant values before any cached state is trusted (and
+/// [`patch_bases`] refreshes every pointer from the current frame), so a
+/// warm scratch from a previous call turns the per-call cold plan build
+/// into a patch-only hit. Because every loop owns its slot, the loops of
+/// one tile body (a fused producer and its consumer) never evict each
+/// other's plans.
 #[derive(Debug, Default)]
 pub(crate) struct RunScratch {
+    /// Index values of the probe at iteration 0 / iteration 1.
+    pub idx0: Vec<i64>,
+    pub idx1: Vec<i64>,
+    /// Plan slots, grown on first use of a loop number.
+    pub slots: Vec<RunPlan>,
+    /// Plans built (cache misses) and reused (cache hits) since the
+    /// engine last drained these counters into its collector.
+    pub builds: u64,
+    pub reuses: u64,
+}
+
+impl Clone for RunScratch {
+    fn clone(&self) -> Self {
+        RunScratch::default()
+    }
+}
+
+/// The cached plan of one specialized loop, and the scratch that builds
+/// it.
+#[derive(Debug, Default)]
+pub(crate) struct RunPlan {
+    /// The loop failed probing or buffer resolution in this frame. The
+    /// generic path is always a correct (just slower) fallback, so once a
+    /// loop declines at run time it stops paying the probe + snapshot
+    /// cost on every subsequent execution.
+    pub declined: bool,
     /// Resolved plans of the merged access table, in table order — the
     /// per-run artifact (`pos` holds the table index). Signature
     /// comparison and base patching run over these few entries.
     pub tab: Vec<AccessPlan>,
-    /// Per-access-op copy of [`RunSpec::acc_map`], captured at plan
-    /// build so cache-hit patching needs no spec access.
-    pub acc_map: Vec<(u16, u16)>,
     /// Expanded per-op access plans, indexed by
     /// `RunOp::{Load,Store}::acc` — rebuilt from `tab` only on plan
     /// cache misses (classification, forwarding, and hazard analysis
     /// consume exactly what per-op resolution used to produce). Stale
     /// on cache hits: every hit-path consumer goes through `tab`.
     pub acc: Vec<AccessPlan>,
-    /// Index values of the probe at iteration 0 / iteration 1.
-    pub idx0: Vec<i64>,
-    pub idx1: Vec<i64>,
     /// Streamed plan of the current run.
     pub stream: Vec<SOp>,
     /// Recurrent plan: `rec_first` is the faithful body tape (the
@@ -515,46 +543,68 @@ pub(crate) struct RunScratch {
     /// per-op vals cells, then materialized constants. All recurrent
     /// operands resolve to offsets into this one slice.
     pub arena: Vec<f64>,
-    /// Plan cache: address of the `RunSpec` the current `stream`/`rec`
-    /// were built for (0 = none), the run length, the per-access
-    /// signature `(delta, tile id, base − base₀)`, and the materialized
-    /// invariant values (from the float and vector register files).
-    /// When the signature of the next run matches, classification is
-    /// provably identical and only the flat bases need patching — the
-    /// common case for every row of every tile.
-    cached_spec: usize,
-    cached_n: usize,
-    sig: Vec<(isize, usize, isize, isize)>,
+    /// Plan cache: the run length the current `stream`/`rec` were built
+    /// for (0 = none), the per-entry aliasing signature (see
+    /// [`EntrySig`]), the entries that open an allocation class
+    /// (`reps`), and the materialized invariant values (from the float
+    /// and vector register files). When the next run matches,
+    /// classification is provably identical and only the flat bases
+    /// need patching — the common case for every row of every tile.
+    n: usize,
+    sig: Vec<EntrySig>,
+    reps: Vec<u16>,
     inv_vals: Vec<(u32, f64)>,
     inv_vvals: Vec<(u32, f64)>,
-    /// Negative verdict cache: specs whose probe/resolution failed in
-    /// this frame. The generic path is always a correct (just slower)
-    /// fallback, so once a loop declines at run time it stops paying
-    /// the probe + snapshot cost on every subsequent execution.
-    pub declined: Vec<usize>,
 }
 
-impl Clone for RunScratch {
-    fn clone(&self) -> Self {
-        RunScratch::default()
+/// Plan-cache key of one access-table entry: `(delta, index of the first
+/// entry on the same allocation, base − that entry's base, lane
+/// stride)`. Every address relation the plan depends on — the hazard
+/// test and the store-to-load forwarding in [`build_steady`] — compares
+/// two accesses on the same allocation only, so the key pins exactly
+/// those relations and nothing absolute: a fresh per-tile temporary with
+/// the same geometry hits, while two views that start or stop sharing an
+/// allocation change the first-entry index and miss. [`patch_bases`]
+/// refreshes every absolute base and tile handle on a hit.
+type EntrySig = (isize, u16, isize, isize);
+
+/// The [`EntrySig`] of every entry of `tab`, plus the entries that are
+/// the first on their allocation.
+fn table_sig(tab: &[AccessPlan], sig: &mut Vec<EntrySig>, reps: &mut Vec<u16>) {
+    sig.clear();
+    reps.clear();
+    for (i, a) in tab.iter().enumerate() {
+        let first = tab[..i]
+            .iter()
+            .position(|r| r.tile.id() == a.tile.id())
+            .unwrap_or(i);
+        if first == i {
+            reps.push(i as u16);
+        }
+        sig.push((
+            a.delta,
+            first as u16,
+            a.base - tab[first].base,
+            a.lane_stride,
+        ));
     }
 }
 
 /// Classifies every op of `spec` as streamed or recurrent for a run of
-/// `n` iterations and builds the execution plans into `scratch`
-/// (`scratch.acc` must already hold the resolved access plans, one per
-/// lane of each access). Run-invariant operands are materialized from
-/// the float (`fregs`) and vector (`vregs`) register files.
+/// `n` iterations and builds the execution plans into `plan` (`plan.tab`
+/// must already hold this run's resolved access table). Run-invariant
+/// operands are materialized from the float (`fregs`) and vector
+/// (`vregs`) register files. Returns whether the cached plan was reused.
 pub(crate) fn build_plan(
     spec: &RunSpec,
     n: usize,
     fregs: &[f64],
     vregs: &[f64],
-    scratch: &mut RunScratch,
+    scratch: &mut RunPlan,
 ) -> bool {
     let ops = &spec.ops;
-    if plan_cache_hit(spec, n, fregs, vregs, scratch) {
-        patch_bases(scratch);
+    if plan_cache_hit(n, fregs, vregs, scratch) {
+        patch_bases(scratch, &spec.acc_map);
         return true;
     }
     let t_compile = trace::begin();
@@ -562,8 +612,6 @@ pub(crate) fn build_plan(
     // forwarding, and hazard analysis below see exactly what per-op
     // resolution used to produce (the bases are the same integers —
     // lane-0 base plus the member's lane offset).
-    scratch.acc_map.clear();
-    scratch.acc_map.extend_from_slice(&spec.acc_map);
     scratch.acc.clear();
     for (pos, op) in ops.iter().enumerate() {
         let (acc, lanes, store) = match op {
@@ -571,7 +619,7 @@ pub(crate) fn build_plan(
             RunOp::Store { acc, lanes, .. } => (*acc, *lanes, true),
             _ => continue,
         };
-        let (t, l) = scratch.acc_map[acc as usize];
+        let (t, l) = spec.acc_map[acc as usize];
         let p = &scratch.tab[t as usize];
         scratch.acc.push(AccessPlan {
             base: p.base + l as isize * p.lane_stride,
@@ -799,21 +847,14 @@ pub(crate) fn build_plan(
     debug_assert!(row_cursor as usize <= row_budget);
     fuse_stream_loads(scratch);
     build_steady(scratch, n, row_budget, vals_end);
-    // Record the cache signature for the next run (over the merged
-    // table: per-op signatures are an affine expansion of the entry
-    // signatures, so entry-level equality implies op-level equality).
-    scratch.cached_spec = spec as *const RunSpec as usize;
-    scratch.cached_n = n;
-    let base0 = scratch.tab[0].base;
-    scratch.sig.clear();
-    scratch
-        .sig
-        .extend(
-            scratch
-                .tab
-                .iter()
-                .map(|a| (a.delta, a.tile.id(), a.base - base0, a.lane_stride)),
-        );
+    // Record the cache signature for the next run of this loop: the run
+    // length plus, per merged-table entry, the aliasing key of
+    // [`EntrySig`] (per-op signatures are an affine expansion of the
+    // entry signatures, so entry-level equality implies op-level
+    // equality). No allocation address enters the key, so each row of
+    // each fused tile, with its fresh temporary, hits.
+    scratch.n = n;
+    table_sig(&scratch.tab, &mut scratch.sig, &mut scratch.reps);
     scratch.inv_vals.clear();
     scratch.inv_vvals.clear();
     // Registers whose value at plan time is a literal the probe itself
@@ -894,7 +935,7 @@ pub(crate) fn build_plan(
 /// consumer — in the stream and in the recurrent tapes. The two staging
 /// passes over the chunk disappear; the fused loop reads both tiles
 /// directly, which is the same read the staging copy would have done.
-fn fuse_stream_loads(scratch: &mut RunScratch) {
+fn fuse_stream_loads(scratch: &mut RunPlan) {
     // Any read touching an element of `[row, row + lanes)` consumes the
     // row (lane refs carry `row + lane` offsets; lane-constant cells
     // never alias a load's row by construction).
@@ -999,28 +1040,35 @@ fn fuse_stream_loads(scratch: &mut RunScratch) {
 }
 
 /// Whether the cached plan in `scratch` is valid for this run: same
-/// spec, same length, same per-access deltas, allocations, and
-/// inter-access base offsets (⇒ identical hazard classification), and
-/// unchanged invariant operand values.
-fn plan_cache_hit(
-    spec: &RunSpec,
-    n: usize,
-    fregs: &[f64],
-    vregs: &[f64],
-    scratch: &RunScratch,
-) -> bool {
-    if scratch.cached_spec != spec as *const RunSpec as usize
-        || scratch.cached_n != n
-        || scratch.sig.len() != scratch.tab.len()
-    {
+/// length, same per-entry [`EntrySig`] (⇒ identical hazard
+/// classification and forwarding), and unchanged invariant operand
+/// values. The signature test needs no rescan for first entries: each
+/// entry must share its allocation with the cached first entry of its
+/// class at the cached offset, and the class leaders must sit on
+/// pairwise distinct allocations — together exactly the cached
+/// partition of the table into allocations.
+fn plan_cache_hit(n: usize, fregs: &[f64], vregs: &[f64], scratch: &RunPlan) -> bool {
+    let tab = &scratch.tab;
+    if scratch.n != n {
         return false;
     }
-    let base0 = scratch.tab[0].base;
-    if !scratch
-        .tab
+    let same_class = tab
         .iter()
         .zip(&scratch.sig)
-        .all(|(a, s)| (a.delta, a.tile.id(), a.base - base0, a.lane_stride) == *s)
+        .all(|(a, &(delta, first, off, ls))| {
+            let r = &tab[first as usize];
+            a.delta == delta
+                && a.lane_stride == ls
+                && a.tile.id() == r.tile.id()
+                && a.base - r.base == off
+        });
+    let reps = &scratch.reps;
+    if !same_class
+        || reps.iter().enumerate().any(|(k, &i)| {
+            reps[..k]
+                .iter()
+                .any(|&j| tab[j as usize].tile.id() == tab[i as usize].tile.id())
+        })
     {
         return false;
     }
@@ -1037,16 +1085,15 @@ fn plan_cache_hit(
 /// Rewrites the flat base addresses *and tile handles* of the cached
 /// plan to this run's resolved accesses (everything else —
 /// classification, slots, deltas, constants — is unchanged by
-/// construction on a cache hit). Tiles must be refreshed, not just
-/// revalidated: the signature proves the fresh access resolves to the
-/// same allocation *address* as the cached one, but scratch outlives
-/// single calls (the engine pools it across frames), so the cached
-/// `TileView` copies may be stale handles from a previous call whose
-/// buffers are gone. After patching, every pointer the hit path
-/// dereferences comes from the current frame's live buffer registers.
-fn patch_bases(scratch: &mut RunScratch) {
+/// construction on a cache hit). Tiles must be refreshed too: the
+/// signature fixes only how the accesses share allocations, not which
+/// allocations they are (each fused tile brings a fresh temporary), and
+/// scratch outlives single calls (the engine pools it across frames),
+/// so the cached `TileView` copies may be handles to buffers that are
+/// gone. After patching, every pointer the hit path dereferences comes
+/// from the current frame's live buffer registers.
+fn patch_bases(scratch: &mut RunPlan, map: &[(u16, u16)]) {
     let tab = &scratch.tab;
-    let map = &scratch.acc_map;
     let b = |a: u16| {
         let (t, l) = map[a as usize];
         let p = &tab[t as usize];
@@ -1216,7 +1263,7 @@ fn rref(
 /// forward's source cell is pre-seeded (`prelude`) with the value its
 /// load would have read from pre-run memory, so no separate
 /// first-iteration execution remains.
-fn build_steady(scratch: &mut RunScratch, n: usize, row_budget: usize, vals_end: usize) {
+fn build_steady(scratch: &mut RunPlan, n: usize, row_budget: usize, vals_end: usize) {
     // Body-op index owning a step-0 vals cell (None for stripe rows,
     // lane-constant cells, and the constants tail — all of which hold
     // values no recurrent op rewrites mid-iteration).
@@ -2258,26 +2305,30 @@ use crate::bytecode::{IOp, Instr, Tape};
 /// generic body would report as an error (division by zero, unset
 /// buffer); the caller then falls back so the error surfaces from the
 /// generic loop with exact accounting.
-pub(crate) fn run_probe(probe: &[ProbeOp], regs: &mut crate::bytecode::Regs) -> bool {
+pub(crate) fn run_probe(
+    probe: &[ProbeOp],
+    i: &mut [i64],
+    f: &mut [f64],
+    v: &mut [f64],
+    bufs: &[Option<crate::buffer::BufferView>],
+) -> bool {
     for op in probe {
         match *op {
-            ProbeOp::CF { dst, v } => regs.f[dst as usize] = v,
-            ProbeOp::CV { off, lanes, v } => {
-                regs.v[off as usize..(off + lanes) as usize].fill(v)
-            }
-            ProbeOp::CI { dst, v } => regs.i[dst as usize] = v,
-            ProbeOp::Mov { dst, src } => regs.i[dst as usize] = regs.i[src as usize],
-            ProbeOp::S2F { dst, src } => regs.f[dst as usize] = regs.i[src as usize] as f64,
+            ProbeOp::CF { dst, v: x } => f[dst as usize] = x,
+            ProbeOp::CV { off, lanes, v: x } => v[off as usize..(off + lanes) as usize].fill(x),
+            ProbeOp::CI { dst, v: x } => i[dst as usize] = x,
+            ProbeOp::Mov { dst, src } => i[dst as usize] = i[src as usize],
+            ProbeOp::S2F { dst, src } => f[dst as usize] = i[src as usize] as f64,
             ProbeOp::Dim { dst, buf, dim } => {
-                let Some(b) = regs.b[buf as usize].as_ref() else {
+                let Some(b) = bufs[buf as usize].as_ref() else {
                     return false;
                 };
-                regs.i[dst as usize] = b.dim(dim as usize) as i64;
+                i[dst as usize] = b.dim(dim as usize) as i64;
             }
             ProbeOp::Bin { op, dst, a, b } => {
-                let a = regs.i[a as usize];
-                let b = regs.i[b as usize];
-                regs.i[dst as usize] = match op {
+                let a = i[a as usize];
+                let b = i[b as usize];
+                i[dst as usize] = match op {
                     IOp::Add => a + b,
                     IOp::Sub => a - b,
                     IOp::Mul => a * b,
@@ -2795,7 +2846,7 @@ pub(crate) fn analyze(
             }
         }
     }
-    if stores == 0 {
+    if stores == 0 && vstores == 0 {
         return Err("no stores in body");
     }
     // Dead-code elimination. Lane-unrolled vector bodies leave dead
@@ -2967,6 +3018,7 @@ pub(crate) fn analyze(
     let iv_inputs: Vec<u32> = probe_upward_reads(&probe_iv_code);
     let probe_code = prune_probe(probe_code, &idx_regs, &iv_inputs);
     Ok(RunSpec {
+        slot: 0, // numbered by the bytecode compiler
         probe: probe_code.into(),
         probe_iv: probe_iv_code.into(),
         ops: ops.into(),

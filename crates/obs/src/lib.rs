@@ -208,6 +208,10 @@ pub struct Recorded {
     /// Flushed per-worker trace rings ([`ObsLevel::Trace`] only), one
     /// lane per worker after merging (see [`trace::merge_rings`]).
     pub rings: Vec<WorkerRing>,
+    /// Run-specialization plans built (plan-cache misses).
+    pub plan_builds: u64,
+    /// Run-specialization plans reused (plan-cache hits).
+    pub plan_reuses: u64,
 }
 
 struct Inner {
@@ -334,6 +338,19 @@ impl Obs {
     pub fn record_autotune(&self, trace: AutotuneTrace) {
         if let Some(inner) = &self.0 {
             inner.data.lock().unwrap().autotune.push(trace);
+        }
+    }
+
+    /// Adds run-specialization plan-cache counts. Engines count per frame
+    /// and flush here when the frame finishes, so the totals are exact
+    /// at every level — unlike the `plan-miss` trace events, which a
+    /// full ring drops.
+    pub fn count_plans(&self, builds: u64, reuses: u64) {
+        let Some(inner) = &self.0 else { return };
+        if builds + reuses > 0 {
+            let mut data = inner.data.lock().unwrap();
+            data.plan_builds += builds;
+            data.plan_reuses += reuses;
         }
     }
 
@@ -482,6 +499,7 @@ mod tests {
             sweeps: 1,
             levels: vec![],
         });
+        obs.count_plans(3, 5);
         assert_eq!(obs.snapshot(), Recorded::default());
         assert_eq!(obs.active_depth(), 0);
     }

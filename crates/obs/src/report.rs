@@ -36,11 +36,11 @@ use crate::trace::{TraceKind, WorkerRing};
 use crate::{Obs, ObsLevel, Recorded, SpanRecord};
 
 /// Version of the JSON report schema. Bump when adding, removing or
-/// re-typing a top-level key. (v2 added `histograms` and `trace`; v3
-/// added the per-event `sweep` tag on trace events — the batch lane of
-/// cross-sweep temporal tiling — and made `wavefronts[].sweeps` count
-/// sweeps, not executions.)
-pub const SCHEMA_VERSION: u32 = 3;
+/// re-typing a key. (v2 added `histograms` and `trace`; v3 added the
+/// per-event `sweep` tag on trace events — the batch lane of cross-sweep
+/// temporal tiling — and made `wavefronts[].sweeps` count sweeps, not
+/// executions; v4 added `engine.plan_builds` and `engine.plan_reuses`.)
+pub const SCHEMA_VERSION: u32 = 4;
 
 /// The exact top-level keys of a version-[`SCHEMA_VERSION`] report.
 pub const TOP_LEVEL_KEYS: [&str; 11] = [
@@ -85,6 +85,10 @@ pub struct EngineReport {
     pub execute_ns: u64,
     /// Number of `engine:execute` spans (calls/sweeps).
     pub calls: u64,
+    /// Run-specialization plans built (plan-cache misses).
+    pub plan_builds: u64,
+    /// Run-specialization plans reused (plan-cache hits).
+    pub plan_reuses: u64,
 }
 
 impl Default for EngineReport {
@@ -96,6 +100,8 @@ impl Default for EngineReport {
             compile_ns: 0,
             execute_ns: 0,
             calls: 0,
+            plan_builds: 0,
+            plan_reuses: 0,
         }
     }
 }
@@ -378,6 +384,14 @@ impl RunReport {
                 Json::num(self.engine.execute_ns as f64),
             ),
             ("calls".into(), Json::num(self.engine.calls as f64)),
+            (
+                "plan_builds".into(),
+                Json::num(self.engine.plan_builds as f64),
+            ),
+            (
+                "plan_reuses".into(),
+                Json::num(self.engine.plan_reuses as f64),
+            ),
         ]);
         let wavefronts = self
             .wavefronts
@@ -599,7 +613,8 @@ impl RunReport {
                 );
             }
         }
-        if self.engine.actual != "none" || self.engine.requested != "none" {
+        let plans = self.engine.plan_builds + self.engine.plan_reuses;
+        if self.engine.actual != "none" || self.engine.requested != "none" || plans > 0 {
             let _ = writeln!(out, "\n-- engine --");
             let _ = writeln!(
                 out,
@@ -618,6 +633,11 @@ impl RunReport {
                 fmt_ns(self.engine.compile_ns),
                 fmt_ns(self.engine.execute_ns),
                 self.engine.calls
+            );
+            let _ = writeln!(
+                out,
+                "run plans: {} built, {} reused",
+                self.engine.plan_builds, self.engine.plan_reuses
             );
         }
         for g in &self.wavefronts {
@@ -789,7 +809,11 @@ fn build_passes(rec: &Recorded) -> Vec<PassReport> {
 }
 
 fn build_engine(rec: &Recorded) -> EngineReport {
-    let mut engine = EngineReport::default();
+    let mut engine = EngineReport {
+        plan_builds: rec.plan_builds,
+        plan_reuses: rec.plan_reuses,
+        ..EngineReport::default()
+    };
     for s in &rec.spans {
         match s.name.as_str() {
             "engine:compile" => engine.compile_ns += s.dur_ns,
@@ -981,6 +1005,11 @@ pub fn validate_report_json(text: &str) -> Result<(), String> {
     for field in ["requested", "actual", "compile_ns", "execute_ns", "calls"] {
         if engine.get(field).is_none() {
             return Err(format!("`engine.{field}` missing"));
+        }
+    }
+    for field in ["plan_builds", "plan_reuses"] {
+        if engine.get(field).and_then(Json::as_f64).is_none() {
+            return Err(format!("`engine.{field}` must be a number"));
         }
     }
     match doc.get("exec_stats") {
@@ -1222,6 +1251,35 @@ mod tests {
         // An unknown event kind in the document is rejected.
         let bad = text.replacen("\"plan-hit\"", "\"mystery\"", 1);
         assert!(validate_report_json(&bad).unwrap_err().contains("mystery"));
+    }
+
+    #[test]
+    fn plan_counts_reach_json_and_text_outside_the_trace_ring() {
+        // Summary level: no trace ring exists, the counts still arrive.
+        let obs = Obs::new(ObsLevel::Summary);
+        obs.count_plans(2, 40);
+        obs.count_plans(1, 7);
+        let report = obs.report();
+        assert_eq!(
+            (report.engine.plan_builds, report.engine.plan_reuses),
+            (3, 47)
+        );
+        assert!(report.trace.is_empty());
+        assert!(
+            report.to_text().contains("run plans: 3 built, 47 reused"),
+            "{}",
+            report.to_text()
+        );
+        let text = report.to_json().to_string();
+        validate_report_json(&text).unwrap();
+        let engine = Json::parse(&text).unwrap().get("engine").unwrap().clone();
+        assert_eq!(engine.get("plan_builds").and_then(Json::as_f64), Some(3.0));
+        assert_eq!(engine.get("plan_reuses").and_then(Json::as_f64), Some(47.0));
+        // A document without the counts is a version-3 document.
+        let old = text.replacen("\"plan_reuses\":47", "\"old\":0", 1);
+        assert!(validate_report_json(&old)
+            .unwrap_err()
+            .contains("plan_reuses"));
     }
 
     #[test]

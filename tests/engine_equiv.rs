@@ -29,6 +29,7 @@
 //! fallback of the run-specialized path.
 
 use instencil::exec::{BcOptions, ExecStats};
+use instencil::ir::OpCode;
 use instencil::prelude::*;
 use instencil::solvers::euler::NV;
 use instencil::solvers::euler_codegen::euler_lusgs_module;
@@ -446,6 +447,151 @@ fn coarsened_tasks_match_levels_bitwise_across_engines_and_threads() {
                 stats_ref, stats,
                 "{label}: coarsened execution changed the stats"
             );
+        }
+    }
+}
+
+/// The plan cache is keyed by how a run's accesses share allocations,
+/// not by which allocations they are. `y[i] = x[i]·½ + 1` streams its
+/// load while `x` and `y` live on distinct allocations; once `y` is `x`
+/// shifted by one element of the same allocation, every load reads the
+/// previous iteration's store. That run keeps the same cross offset
+/// (`base(y) − base(x)` = 1 both times), so a key without the aliasing
+/// structure would reuse the streaming plan and read stale memory. A
+/// fresh allocation with the same inner geometry, on the other hand,
+/// must reuse the plan. Every run is checked against the interpreter
+/// bit for bit.
+#[test]
+fn plan_cache_key_tracks_aliasing_not_allocations() {
+    let mut module = Module::new("alias");
+    let m1 = Type::memref_dyn(Type::F64, 1);
+    let mut fb = FuncBuilder::new("f", vec![m1.clone(), m1], vec![]);
+    let (x, y) = (fb.arg(0), fb.arg(1));
+    let c0 = fb.const_index(0);
+    let c1 = fb.const_index(1);
+    let len = fb.mem_dim(x, 0);
+    fb.build_for(c0, len, c1, vec![], |fb, i, _| {
+        let v = fb.mem_load(x, &[i]);
+        let half = fb.const_f64(0.5);
+        let one = fb.const_f64(1.0);
+        let s = fb.mulf(v, half);
+        let r = fb.addf(s, one);
+        fb.mem_store(r, y, &[i]);
+        vec![]
+    });
+    fb.ret(vec![]);
+    module.push_func(fb.finish());
+    module.verify().unwrap();
+
+    const M: usize = 16;
+    // (x, y): views [0, M) and [1, M + 1) of one or two fresh allocations.
+    let views = |aliased: bool| {
+        let a = seeded(&[M + 1]);
+        let b = if aliased { a.clone() } else { seeded(&[M + 1]) };
+        (a.subview(&[0], &[M]), b.subview(&[1], &[M]), a, b)
+    };
+    let obs = Obs::new(ObsLevel::Summary);
+    let mut eng = BytecodeEngine::compile_with_obs(&module, 1, obs.clone()).unwrap();
+    for (step, aliased, expect) in [
+        ("distinct", false, (1, 0)),
+        ("fresh distinct", false, (1, 1)),
+        ("aliased", true, (2, 1)),
+        ("fresh aliased", true, (2, 2)),
+    ] {
+        let (x, y, a, b) = views(aliased);
+        let (xr, yr, ar, br) = views(aliased);
+        let mut interp = Interpreter::new();
+        interp
+            .call(&module, "f", vec![RtVal::Buf(xr), RtVal::Buf(yr)])
+            .unwrap();
+        let before = eng.stats;
+        eng.call("f", vec![RtVal::Buf(x), RtVal::Buf(y)]).unwrap();
+        assert_bits_equal(&ar.to_vec(), &a.to_vec(), step);
+        assert_bits_equal(&br.to_vec(), &b.to_vec(), step);
+        assert_eq!(interp.stats.loads, eng.stats.loads - before.loads, "{step}");
+        assert_eq!(
+            interp.stats.stores,
+            eng.stats.stores - before.stores,
+            "{step}"
+        );
+        let plans = obs.report().engine;
+        assert_eq!(
+            (plans.plan_builds, plans.plan_reuses),
+            expect,
+            "{step}: (plan builds, reuses)"
+        );
+    }
+}
+
+/// Fused heat 3D at a geometry where every loop of a tile body reaches
+/// the run-specialized rung: 64 interior columns in one x-tile of 64
+/// give the vf8 loops 8 iterations per run, and 28 interior rows in
+/// tiles of 12 (18 planes in tiles of 4) leave ragged last tiles, so
+/// tiles bring temporaries of several shapes. The fused producer, the
+/// stencil and the `T += dT` update must all specialize (no
+/// `runspec-decline`), reproduce the interpreter's bits and counters at
+/// 1 and 2 workers, and — at 1 worker, where one frame serves every
+/// block — build no more plans than the module has loops.
+#[test]
+fn heat3d_fused_vector_rung_matches_interpreter() {
+    let module = kernels::heat3d_module();
+    let shape = [1usize, 20, 30, 66];
+    let fresh = || -> Vec<BufferView> { (0..3).map(|_| seeded(&shape)).collect() };
+    for (name, opts) in [
+        (
+            "tr2",
+            PipelineOptions::tr2(vec![8, 12, 64], vec![4, 12, 64]),
+        ),
+        (
+            "tr4",
+            PipelineOptions::tr4(vec![8, 12, 64], vec![4, 12, 64]),
+        ),
+    ] {
+        let compiled = compile(&module, &opts).expect("heat3d compiles");
+        let loops: usize = compiled
+            .module
+            .funcs()
+            .iter()
+            .map(|f| {
+                let mut n = 0;
+                f.body
+                    .walk(|op| n += usize::from(f.body.op(op).opcode == OpCode::For));
+                n
+            })
+            .sum();
+        let bufs = fresh();
+        let stats_i = interpret(&compiled.module, "heat_step", &as_args(&bufs), 2);
+        for threads in [1usize, 2] {
+            let label = format!("heat3d fused {name} threads={threads}");
+            let obs = Obs::new(ObsLevel::Summary);
+            let mut eng =
+                BytecodeEngine::compile_with_obs(&compiled.module, threads, obs.clone()).unwrap();
+            let got = fresh();
+            for _ in 0..2 {
+                eng.call("heat_step", as_args(&got)).unwrap();
+            }
+            for (i, (e, g)) in bufs.iter().zip(&got).enumerate() {
+                assert_bits_equal(&e.to_vec(), &g.to_vec(), &format!("{label} buffer {i}"));
+            }
+            assert_eq!(
+                stats_i, eng.stats,
+                "{label}: engines must count identically"
+            );
+            let report = obs.report();
+            let declines: Vec<_> = report
+                .events
+                .iter()
+                .filter(|e| e.name == "runspec-decline")
+                .collect();
+            assert!(declines.is_empty(), "{label}: {declines:?}");
+            let (builds, reuses) = (report.engine.plan_builds, report.engine.plan_reuses);
+            assert!(reuses > builds, "{label}: {builds} builds, {reuses} reuses");
+            if threads == 1 {
+                assert!(
+                    builds <= loops as u64,
+                    "{label}: {builds} builds for {loops} loops"
+                );
+            }
         }
     }
 }
