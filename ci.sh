@@ -39,6 +39,9 @@ echo "==> cargo test (tier-1: default-members cover the whole workspace)"
 # for every test: the overlap_checker, dataflow_trace and batched
 # engine_equiv suites included.
 cargo test $OFFLINE -q
+# The benchmark runs the run-specialized loops' release codegen, which
+# the debug run above never executes: check engine equivalence there too.
+cargo test $OFFLINE -q --release --test engine_equiv
 
 echo "==> cargo clippy -D warnings"
 cargo clippy $OFFLINE --workspace --all-targets -- -D warnings

@@ -35,7 +35,9 @@ use crate::buffer::BufferView;
 use crate::compile::{compile_program, BcCompileError, BcOptions};
 use crate::interp::ExecError;
 use crate::parallel::{self, WavefrontPool};
-use crate::runspec::{self, RunPlan, RunScratch, RunSpec};
+use crate::runspec::exec::{exec_recurrent, exec_streamed, run_probe};
+use crate::runspec::plan::{build_plan, AccessPlan, RunPlan, RunScratch};
+use crate::runspec::{self, RunSpec};
 use crate::stats::ExecStats;
 use crate::value::RtVal;
 
@@ -1280,24 +1282,23 @@ impl BcCtx<'_> {
         }
         let rs = &mut *regs.rs;
         let plan = &mut rs.slots[slot];
-        let hit = runspec::build_plan(spec, n, &regs.f, &regs.v, plan);
+        let hit = build_plan(spec, n, &regs.f, &regs.v, plan);
         *if hit { &mut rs.reuses } else { &mut rs.builds } += 1;
         if self.pool.obs().detail_enabled() {
             // Consecutive hits coalesce into one event (a tail compare,
             // no clock read), keeping the per-run Trace cost flat; the
             // compile duration itself is emitted inside `build_plan`.
-            let spec_id = (spec as *const RunSpec as usize >> 4) as u32;
             if hit {
-                trace::coalesce(TraceKind::PlanHit, spec_id);
+                trace::coalesce(TraceKind::PlanHit, spec.slot);
             } else {
-                trace::instant(TraceKind::PlanMiss, spec_id, n as u32);
+                trace::instant(TraceKind::PlanMiss, spec.slot, n as u32);
             }
         }
         let mut t0 = 0usize;
         while t0 < n {
             let m = (n - t0).min(runspec::CHUNK);
-            runspec::exec_streamed(&plan.stream, &mut plan.arena, t0, m);
-            runspec::exec_recurrent(
+            exec_streamed(&plan.stream, &mut plan.arena, t0, m);
+            exec_recurrent(
                 &plan.rec_steady,
                 &plan.prelude,
                 &plan.tab,
@@ -1337,13 +1338,13 @@ impl BcCtx<'_> {
     fn resolve_run(spec: &RunSpec, n: usize, lb: i64, step: i64, iv: u32, regs: &mut Regs) -> bool {
         let Regs { f, i, v, b, rs, .. } = regs;
         i[iv as usize] = lb;
-        if !runspec::run_probe(&spec.probe, i, f, v, b) {
+        if !run_probe(&spec.probe, i, f, v, b) {
             return false;
         }
         rs.idx0.clear();
         rs.idx0.extend(spec.idx_regs.iter().map(|&r| i[r as usize]));
         i[iv as usize] = lb + step;
-        if !runspec::run_probe(&spec.probe_iv, i, f, v, b) {
+        if !run_probe(&spec.probe_iv, i, f, v, b) {
             return false;
         }
         rs.idx1.clear();
@@ -1363,7 +1364,7 @@ impl BcCtx<'_> {
             if a.store {
                 crate::buffer::overlap::pin_storage(view.storage());
             }
-            tab.push(runspec::AccessPlan {
+            tab.push(AccessPlan {
                 base,
                 delta,
                 lane_stride,

@@ -71,16 +71,16 @@ pub enum TraceKind {
     /// runnable work. `a` = consecutive idle rounds so far. Duration
     /// event covering the sleep.
     Park,
-    /// A runspec plan-cache hit. `a` = truncated spec address, `b` =
+    /// A runspec plan-cache hit. `a` = loop number, `b` =
     /// number of *consecutive* hits coalesced into this event.
     /// Instant event stamped at the start of the streak.
     PlanHit,
-    /// A runspec plan-cache miss. `a` = truncated spec address, `b` =
+    /// A runspec plan-cache miss. `a` = loop number, `b` =
     /// run length `n`. Instant event; the rebuild itself is the
     /// [`TraceKind::PlanCompile`] duration that follows.
     PlanMiss,
-    /// A plan compilation (the cache-miss rebuild). `a` = truncated
-    /// spec address, `b` = run length `n`. Duration event.
+    /// A plan compilation (the cache-miss rebuild). `a` = loop number,
+    /// `b` = run length `n`. Duration event.
     PlanCompile,
 }
 
@@ -438,8 +438,8 @@ fn kind_args(e: &TraceEvent) -> Json {
         TraceKind::Task => ("task", "blocks"),
         TraceKind::Steal => ("victim", "dist"),
         TraceKind::Park => ("idle_rounds", "pad"),
-        TraceKind::PlanHit => ("spec", "hits"),
-        TraceKind::PlanMiss | TraceKind::PlanCompile => ("spec", "n"),
+        TraceKind::PlanHit => ("loop", "hits"),
+        TraceKind::PlanMiss | TraceKind::PlanCompile => ("loop", "n"),
     };
     let mut members = vec![(ka.to_owned(), Json::num(e.a))];
     if e.kind != TraceKind::Park {

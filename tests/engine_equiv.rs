@@ -29,7 +29,7 @@
 //! fallback of the run-specialized path.
 
 use instencil::exec::{BcOptions, ExecStats};
-use instencil::ir::OpCode;
+use instencil::ir::{OpCode, ValueId};
 use instencil::prelude::*;
 use instencil::solvers::euler::NV;
 use instencil::solvers::euler_codegen::euler_lusgs_module;
@@ -593,5 +593,112 @@ fn heat3d_fused_vector_rung_matches_interpreter() {
                 );
             }
         }
+    }
+}
+
+/// The recurrence shapes of a 1-D body with a k = −1 carry that no
+/// benchmark kernel produces, each run for 300 points — more than one
+/// chunk of the run-specialized engine, so the carried value crosses a
+/// chunk boundary. The carry sits at the chain's init (a one-lane ring),
+/// at a middle link, or is read twice in one chain; the last body holds
+/// two chain-stores that do not form a ring. Every body must specialize
+/// and match the interpreter bit for bit and counter for counter.
+#[test]
+fn recurrence_shapes_match_interpreter() {
+    type Body = fn(&mut FuncBuilder, [ValueId; 3], ValueId);
+    fn at(fb: &mut FuncBuilder, i: ValueId, k: i64) -> ValueId {
+        let c = fb.const_index(k);
+        fb.subi(i, c)
+    }
+    let bodies: [(&str, Body); 4] = [
+        ("carry at the init", |fb, [x, y, _], i| {
+            // x[i] = x[i-1]·a + y[i]
+            let im1 = at(fb, i, 1);
+            let v = fb.mem_load(x, &[im1]);
+            let a = fb.const_f64(-0.5);
+            let s = fb.mulf(v, a);
+            let yi = fb.mem_load(y, &[i]);
+            let r = fb.addf(s, yi);
+            fb.mem_store(r, x, &[i]);
+        }),
+        ("carry at a middle link", |fb, [x, y, _], i| {
+            // x[i] = (x[i-2]·a + x[i-1]) + y[i]
+            let (im2, im1) = (at(fb, i, 2), at(fb, i, 1));
+            let w = fb.mem_load(x, &[im2]);
+            let v = fb.mem_load(x, &[im1]);
+            let a = fb.const_f64(-0.5);
+            let s = fb.mulf(w, a);
+            let t = fb.addf(s, v);
+            let yi = fb.mem_load(y, &[i]);
+            let r = fb.addf(t, yi);
+            fb.mem_store(r, x, &[i]);
+        }),
+        ("carry read twice", |fb, [x, y, _], i| {
+            // x[i] = (x[i-1]·a + x[i-1]) + y[i], two loads of x[i-1]
+            let im1 = at(fb, i, 1);
+            let v1 = fb.mem_load(x, &[im1]);
+            let v2 = fb.mem_load(x, &[im1]);
+            let a = fb.const_f64(-0.5);
+            let s = fb.mulf(v1, a);
+            let t = fb.addf(s, v2);
+            let yi = fb.mem_load(y, &[i]);
+            let r = fb.addf(t, yi);
+            fb.mem_store(r, x, &[i]);
+        }),
+        ("two chain-stores, no ring", |fb, [x, y, z], i| {
+            // x[i] = x[i-1]·a + y[i];  z[i] = z[i-1]·b + y[i]
+            let im1 = at(fb, i, 1);
+            let yi = fb.mem_load(y, &[i]);
+            for (m, c) in [(x, -0.5), (z, 0.75)] {
+                let v = fb.mem_load(m, &[im1]);
+                let a = fb.const_f64(c);
+                let s = fb.mulf(v, a);
+                let r = fb.addf(s, yi);
+                fb.mem_store(r, m, &[i]);
+            }
+        }),
+    ];
+    const N: usize = 302; // i ∈ [2, N): 300 points
+    for (name, body) in bodies {
+        let mut module = Module::new("recurrence");
+        let m1 = Type::memref_dyn(Type::F64, 1);
+        let mut fb = FuncBuilder::new("f", vec![m1.clone(), m1.clone(), m1], vec![]);
+        let args = [fb.arg(0), fb.arg(1), fb.arg(2)];
+        let c1 = fb.const_index(1);
+        let c2 = fb.const_index(2);
+        let len = fb.mem_dim(args[0], 0);
+        fb.build_for(c2, len, c1, vec![], |fb, i, _| {
+            body(fb, args, i);
+            vec![]
+        });
+        fb.ret(vec![]);
+        module.push_func(fb.finish());
+        module.verify().unwrap();
+
+        let fresh = || -> Vec<BufferView> { (0..3).map(|_| seeded(&[N])).collect() };
+        let expect = fresh();
+        let mut interp = Interpreter::new();
+        interp.call(&module, "f", as_args(&expect)).unwrap();
+        let obs = Obs::new(ObsLevel::Summary);
+        let mut eng = BytecodeEngine::compile_with_obs(&module, 1, obs.clone()).unwrap();
+        let got = fresh();
+        eng.call("f", as_args(&got)).unwrap();
+        for (k, (e, g)) in expect.iter().zip(&got).enumerate() {
+            assert_bits_equal(&e.to_vec(), &g.to_vec(), &format!("{name}: buffer {k}"));
+        }
+        let (si, se) = (interp.stats, eng.stats);
+        assert_eq!(
+            (si.loads, si.stores, si.scalar_flops),
+            (se.loads, se.stores, se.scalar_flops),
+            "{name}: (loads, stores, scalar flops)"
+        );
+        let report = obs.report();
+        let declines: Vec<_> = report
+            .events
+            .iter()
+            .filter(|e| e.name == "runspec-decline")
+            .collect();
+        assert!(declines.is_empty(), "{name}: {declines:?}");
+        assert_eq!(report.engine.plan_builds, 1, "{name}: one specialized run");
     }
 }
