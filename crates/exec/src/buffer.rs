@@ -14,11 +14,11 @@
 //! workers *safe by construction* (no data race is possible, and every
 //! store is bit-exact), while the *determinism* of parallel execution is
 //! guaranteed at the schedule level: within a wavefront level, sub-domains
-//! write disjoint regions (paper Eq. (3)), and the barrier between levels
-//! (a thread join) establishes the happens-before edge that publishes one
-//! level's stores to the next. On x86-64 and AArch64 a relaxed atomic
-//! load/store compiles to a plain move, so sequential interpretation pays
-//! no measurable cost for this.
+//! write disjoint regions (paper Eq. (3)), and the pool's in-degree
+//! handoff (through a join task between levels) establishes the
+//! happens-before edge that publishes one level's stores to the next. On
+//! x86-64 and AArch64 a relaxed atomic load/store compiles to a plain
+//! move, so sequential interpretation pays no measurable cost for this.
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -43,8 +43,8 @@ use std::sync::Arc;
 /// exactly what the Eq. (3) wavefront schedule guarantees: two blocks
 /// of the same level never overlap in writes (or in a read of one and
 /// a write of the other) — any such overlap is a block dependence and
-/// forces the blocks into different levels, and the thread join between
-/// levels establishes the happens-before edge. The debug-mode
+/// forces the blocks into different levels, and the join between levels
+/// establishes the happens-before edge. The debug-mode
 /// [`overlap`] checker enforces this at run time in every test build.
 ///
 /// Bounds are *not* checked per access (`debug_assert!` only): the run
@@ -632,26 +632,26 @@ fn max_or_nan(a: f64, b: f64) -> f64 {
 /// for the Eq. (3) disjointness guarantee the non-atomic [`TileView`]
 /// path relies on.
 ///
-/// While a wavefront block executes (between [`overlap::LevelChecker::guard`]
-/// and the guard's drop), every buffer store on that thread is recorded
-/// into a thread-local, per-block set of flat-index intervals, grouped
-/// by allocation. When the block finishes, its write set is merged into
-/// the level's shared state; if it intersects the write set of any
-/// *other* block of the same level, the checker panics naming both
-/// blocks and the offending extents. A fresh [`overlap::LevelChecker`] per level
-/// implements the "reset at the barrier" semantics — blocks of
-/// *different* levels may freely write the same cells.
+/// Every graph drain of the wavefront pool runs under one
+/// [`overlap::SweepChecker`], built from the graph it drains. While a
+/// unit executes (between [`overlap::SweepChecker::guard`] and the
+/// guard's drop), every buffer store on that thread is recorded into a
+/// thread-local set of flat-index intervals, grouped by allocation. When
+/// the unit finishes, its write set is checked against the write set of
+/// every finished unit the graph leaves *unordered* with it; an
+/// intersection panics naming both flat blocks and the offending extent.
+/// Under the level graph, units of one level are unordered and units of
+/// different levels are ordered (the barrier); under the dependence
+/// graph, ordering is reachability in the sweep-extended block graph.
 ///
 /// Recorded write sets pin an `Arc` clone of each touched allocation
-/// until the level ends, so a per-block temporary freed by one block
-/// cannot be re-allocated at the same address by a later block of the
-/// same level and produce a false positive.
+/// until the drain ends, so a per-block temporary freed by one block
+/// cannot be re-allocated at the same address by a later block and
+/// produce a false positive.
 ///
-/// The graph drain uses [`overlap::SweepChecker`], which
-/// checks against the (sweep-extended) dependence graph instead of a
-/// level. The whole module compiles to no-ops in release builds;
-/// `cargo test` runs in the debug profile and so exercises it on every
-/// shipped schedule by default.
+/// The whole module compiles to no-ops in release builds; `cargo test`
+/// runs in the debug profile and so exercises it on every shipped
+/// schedule by default.
 #[cfg(debug_assertions)]
 pub mod overlap {
     use std::cell::RefCell;
@@ -662,7 +662,7 @@ pub mod overlap {
     /// closed `[lo, hi]` flat-index intervals).
     type StorageWrites = (usize, Arc<[AtomicU64]>, Vec<(usize, usize)>);
 
-    /// Write extents of one block, grouped by allocation. Intervals are
+    /// Write extents of one unit, grouped by allocation. Intervals are
     /// coalesced on the fly for the common consecutive-store case and
     /// normalized at commit.
     struct BlockWrites {
@@ -693,76 +693,6 @@ pub mod overlap {
     fn finish() -> Option<BlockWrites> {
         let writes = ACTIVE.with(|a| a.borrow_mut().take())?;
         (!std::thread::panicking()).then_some(writes)
-    }
-
-    /// Checks `writes` against every committed write set that `ordered`
-    /// leaves unordered with it and commits it; returns the first
-    /// collision as `(prior block id, lo, hi)` instead.
-    fn check_and_commit(
-        done: &Mutex<Vec<BlockWrites>>,
-        mut writes: BlockWrites,
-        ordered: impl Fn(usize, usize) -> bool,
-    ) -> Option<(usize, usize, usize)> {
-        for (_, _, intervals) in &mut writes.per_storage {
-            normalize(intervals);
-        }
-        let mut done = done.lock().unwrap();
-        for prior in done.iter().filter(|p| !ordered(p.block, writes.block)) {
-            for (id, _, intervals) in &writes.per_storage {
-                for (_, _, prior_intervals) in prior.per_storage.iter().filter(|(p, ..)| p == id) {
-                    if let Some((lo, hi)) = intersect(intervals, prior_intervals) {
-                        return Some((prior.block, lo, hi));
-                    }
-                }
-            }
-        }
-        done.push(writes);
-        None
-    }
-
-    /// Shared per-level state: the write sets of every finished block.
-    #[derive(Default)]
-    pub struct LevelChecker {
-        done: Mutex<Vec<BlockWrites>>,
-    }
-
-    impl LevelChecker {
-        /// A fresh checker (create one per wavefront level).
-        pub fn new() -> Self {
-            Self::default()
-        }
-
-        /// Starts recording block `block` on the current thread; the
-        /// returned guard commits and checks the write set on drop.
-        pub fn guard(&self, block: usize) -> BlockGuard<'_> {
-            start(block);
-            BlockGuard { checker: self }
-        }
-
-        fn commit(&self, writes: BlockWrites) {
-            let block = writes.block;
-            // Blocks of one level are mutually unordered.
-            if let Some((prior, lo, hi)) = check_and_commit(&self.done, writes, |_, _| false) {
-                panic!(
-                    "wavefront overlap: blocks {prior} and {block} of the same \
-                     level both wrote flat extent [{lo}, {hi}] of one \
-                     allocation — the schedule violates Eq. (3) disjointness"
-                );
-            }
-        }
-    }
-
-    /// RAII scope of one block's recording (see [`LevelChecker::guard`]).
-    pub struct BlockGuard<'a> {
-        checker: &'a LevelChecker,
-    }
-
-    impl Drop for BlockGuard<'_> {
-        fn drop(&mut self) {
-            if let Some(writes) = finish() {
-                self.checker.commit(writes);
-            }
-        }
     }
 
     /// Records a store of `len` elements at flat index `lo` (no-op
@@ -824,36 +754,47 @@ pub mod overlap {
         }
     }
 
-    /// Whole-run overlap checker for the dataflow drain (eager runs are
-    /// `sweeps = 1`).
+    /// Whole-drain overlap checker, one unit per node of the drained
+    /// graph.
     ///
-    /// A drain has no levels to reset at, so disjointness is checked
-    /// against the dependence graph instead. The checked universe is the
-    /// `sweeps × num_blocks` grid of sweep-qualified block executions.
-    /// Within one sweep the ordering relation is the block dependence
-    /// graph. Across sweeps, block `b` of sweep `s+1` is ordered after
-    /// `{b} ∪ succ(b)` of sweep `s` (the cross-sweep dependence pattern
-    /// of the L/U in-place split), and transitively after everything
-    /// those nodes dominate. Any pair of sweep-qualified executions left
-    /// **unordered** by that relation may run concurrently (at some
-    /// thread count, under some timing), so their write intervals must
-    /// be disjoint; ordered pairs may freely reuse cells — the
+    /// * **Dependence graph** ([`SweepChecker::new`]): the units are the
+    ///   `sweeps × num_blocks` sweep-qualified block executions. Within
+    ///   one sweep the ordering relation is the block dependence graph.
+    ///   Across sweeps, block `b` of sweep `s+1` is ordered after
+    ///   `{b} ∪ succ(b)` of sweep `s` (the cross-sweep dependence pattern
+    ///   of the L/U in-place split), and transitively after everything
+    ///   those nodes dominate.
+    /// * **Level graph** ([`SweepChecker::levels`]): the units are the
+    ///   positions of the wavefront CSR. Units of one level are
+    ///   unordered; units of different levels are ordered by the join
+    ///   between them.
+    ///
+    /// Any pair of units left **unordered** may run concurrently (at some
+    /// thread count, under some timing), so their write intervals must be
+    /// disjoint; ordered pairs may freely reuse cells — the
     /// Acquire/Release edge of the in-degree handoff orders their writes.
     ///
-    /// Ordering is decided from transitive-ancestor bitsets computed once
-    /// per run, so verdicts are deterministic: the same module panics (or
-    /// passes) identically at every thread count, including 1 — unlike a
-    /// temporal check, which would only catch races that happened to
-    /// manifest.
+    /// Ordering is decided from the relation alone, never from the task
+    /// partition or the timing, so verdicts are deterministic: the same
+    /// module panics (or passes) identically at every thread count,
+    /// including 1 — unlike a temporal check, which would only catch
+    /// races that happened to manifest.
     pub struct SweepChecker {
-        /// Blocks per sweep (node id = `sweep * n_blocks + block`).
-        n_blocks: usize,
+        /// Units per sweep (unit id = `sweep * n_units + unit`).
+        n_units: usize,
+        order: Order,
+        done: Mutex<Vec<BlockWrites>>,
+    }
+
+    /// The ordering relation a [`SweepChecker`] judges by.
+    enum Order {
         /// `ancestors[node]` bit `p` set iff node `p` transitively
         /// precedes `node`. Node ids ascend topologically: intra-sweep
         /// predecessors have lower block index, cross-sweep predecessors
         /// live in the previous sweep.
-        ancestors: Vec<Vec<u64>>,
-        done: Mutex<Vec<BlockWrites>>,
+        Graph(Vec<Vec<u64>>),
+        /// The level and flat block of each CSR position.
+        Levels(Vec<(usize, usize)>),
     }
 
     impl SweepChecker {
@@ -886,50 +827,99 @@ pub mod overlap {
                 }
                 ancestors.push(bits);
             }
+            Self::with_order(n, Order::Graph(ancestors))
+        }
+
+        /// A fresh checker for one drain of the level graph of the
+        /// wavefront CSR `(row_ptr, cols)`.
+        pub fn levels(row_ptr: &[i64], cols: &[i64]) -> Self {
+            let units = row_ptr
+                .windows(2)
+                .enumerate()
+                .flat_map(|(level, w)| {
+                    cols[w[0] as usize..w[1] as usize].iter().map(move |&b| (level, b as usize))
+                })
+                .collect::<Vec<_>>();
+            Self::with_order(units.len(), Order::Levels(units))
+        }
+
+        fn with_order(n_units: usize, order: Order) -> Self {
             SweepChecker {
-                n_blocks: n,
-                ancestors,
+                n_units,
+                order,
                 done: Mutex::new(Vec::new()),
             }
         }
 
         fn ordered(&self, a: usize, b: usize) -> bool {
-            let has = |anc: &[u64], x: usize| anc[x / 64] >> (x % 64) & 1 == 1;
-            has(&self.ancestors[b], a) || has(&self.ancestors[a], b)
+            match &self.order {
+                Order::Graph(ancestors) => {
+                    let has = |anc: &[u64], x: usize| anc[x / 64] >> (x % 64) & 1 == 1;
+                    has(&ancestors[b], a) || has(&ancestors[a], b)
+                }
+                Order::Levels(units) => units[a].0 != units[b].0,
+            }
         }
 
-        /// Starts recording block `block` of sweep `sweep` on the
-        /// current thread; the returned guard commits and checks the
-        /// write set on drop.
-        pub fn guard(&self, sweep: usize, block: usize) -> SweepGuard<'_> {
-            start(sweep * self.n_blocks + block);
+        /// The `(flat block, sweep)` a unit id names.
+        fn name(&self, unit: usize) -> (usize, usize) {
+            let (sweep, u) = (unit / self.n_units, unit % self.n_units);
+            match &self.order {
+                Order::Graph(_) => (u, sweep),
+                Order::Levels(units) => (units[u].1, sweep),
+            }
+        }
+
+        /// Starts recording unit `unit` of sweep `sweep` on the current
+        /// thread; the returned guard commits and checks the write set on
+        /// drop.
+        pub fn guard(&self, sweep: usize, unit: usize) -> SweepGuard<'_> {
+            start(sweep * self.n_units + unit);
             SweepGuard { checker: self }
+        }
+
+        /// Checks `writes` against every committed write set the relation
+        /// leaves unordered with it and commits it; returns the first
+        /// collision as `(prior unit id, lo, hi)` instead.
+        fn check_and_commit(&self, mut writes: BlockWrites) -> Option<(usize, usize, usize)> {
+            for (_, _, intervals) in &mut writes.per_storage {
+                normalize(intervals);
+            }
+            let mut done = self.done.lock().unwrap();
+            for prior in done.iter().filter(|p| !self.ordered(p.block, writes.block)) {
+                for (id, _, intervals) in &writes.per_storage {
+                    let same = prior.per_storage.iter().filter(|(p, ..)| p == id);
+                    for (_, _, prior_intervals) in same {
+                        if let Some((lo, hi)) = intersect(intervals, prior_intervals) {
+                            return Some((prior.block, lo, hi));
+                        }
+                    }
+                }
+            }
+            done.push(writes);
+            None
         }
 
         fn commit(&self, writes: BlockWrites) {
             let node = writes.block;
-            let Some((prior, lo, hi)) =
-                check_and_commit(&self.done, writes, |a, b| self.ordered(a, b))
-            else {
+            let Some((prior, lo, hi)) = self.check_and_commit(writes) else {
                 return;
             };
             // Commit order is nondeterministic under concurrency; report
             // the pair in (block, sweep) order.
-            let n = self.n_blocks;
-            let key = |node: usize| (node % n, node / n);
-            let (a, b) = (key(prior).min(key(node)), key(prior).max(key(node)));
+            let (a, b) = (self.name(prior), self.name(node));
+            let (a, b) = (a.min(b), a.max(b));
             panic!(
                 "wavefront overlap: blocks {} and {} (of sweeps {} and {}) are \
-                 unordered by the dependence graph and both wrote flat extent \
-                 [{lo}, {hi}] of one allocation — the dependences violate \
+                 unordered by the schedule's graph and both wrote flat extent \
+                 [{lo}, {hi}] of one allocation — the schedule violates \
                  Eq. (3) disjointness",
                 a.0, b.0, a.1, b.1,
             );
         }
     }
 
-    /// RAII scope of one sweep-qualified block's recording (see
-    /// [`SweepChecker::guard`]).
+    /// RAII scope of one unit's recording (see [`SweepChecker::guard`]).
     pub struct SweepGuard<'a> {
         checker: &'a SweepChecker,
     }
@@ -984,26 +974,6 @@ pub mod overlap {
     use std::sync::atomic::AtomicU64;
     use std::sync::Arc;
 
-    /// No-op stand-in for the debug checker.
-    #[derive(Default)]
-    pub struct LevelChecker;
-
-    /// No-op guard.
-    pub struct BlockGuard;
-
-    impl LevelChecker {
-        /// A fresh (no-op) checker.
-        pub fn new() -> Self {
-            Self
-        }
-
-        /// No-op block scope.
-        #[inline]
-        pub fn guard(&self, _block: usize) -> BlockGuard {
-            BlockGuard
-        }
-    }
-
     /// No-op stand-in for the debug graph-drain checker.
     pub struct SweepChecker;
 
@@ -1014,6 +984,12 @@ pub mod overlap {
         /// A fresh (no-op) checker.
         #[inline]
         pub fn new(_graph: &instencil_pattern::dataflow::BlockGraph, _sweeps: usize) -> Self {
+            Self
+        }
+
+        /// A fresh (no-op) level-graph checker.
+        #[inline]
+        pub fn levels(_row_ptr: &[i64], _cols: &[i64]) -> Self {
             Self
         }
 

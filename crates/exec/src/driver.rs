@@ -5,9 +5,9 @@
 //! one of the two engines (with a wavefront worker count and a
 //! [`Scheduler`] for the bytecode engine's pool), and drives
 //! the iteration loop (the granularity at which the paper synchronizes
-//! between Gauss-Seidel iterations). [`run_sweeps`] and
-//! [`run_sweeps_opts`] are one-line loops over it; to honor the knobs of
-//! a module's [`PipelineOptions`], pass them to [`Runner::with_opts`].
+//! between Gauss-Seidel iterations). [`run_sweeps`] is a short loop over
+//! it; to honor the knobs of a module's [`PipelineOptions`], pass them to
+//! [`Runner::with_opts`].
 //!
 //! # Engine selection
 //!
@@ -402,7 +402,9 @@ impl Drop for SweepBatch<'_, '_> {
 
 /// Runs `func` of `module` for `iterations` sweeps over the given
 /// buffers (passed as memref arguments each sweep) on one thread of the
-/// default engine. Returns accumulated execution statistics.
+/// default engine, batched [`DEFAULT_SWEEP_BATCH`] deep. Returns
+/// accumulated execution statistics. For other worker counts, engines or
+/// schedulers, drive a [`Runner`].
 ///
 /// # Errors
 /// Propagates engine failures.
@@ -412,35 +414,7 @@ pub fn run_sweeps(
     buffers: &[BufferView],
     iterations: usize,
 ) -> Result<ExecStats, ExecError> {
-    run_sweeps_opts(
-        module,
-        func,
-        buffers,
-        iterations,
-        1,
-        Engine::default(),
-        Scheduler::Levels,
-    )
-}
-
-/// [`run_sweeps`] with an explicit worker count, engine and wavefront
-/// [`Scheduler`]. Results and statistics are bit-identical across all
-/// three (enforced by `tests/engine_equiv.rs`); only wall-clock time
-/// changes.
-///
-/// # Errors
-/// Propagates engine failures.
-#[allow(clippy::too_many_arguments)]
-pub fn run_sweeps_opts(
-    module: &Module,
-    func: &str,
-    buffers: &[BufferView],
-    iterations: usize,
-    threads: usize,
-    engine: Engine,
-    scheduler: Scheduler,
-) -> Result<ExecStats, ExecError> {
-    let mut runner = Runner::with_opts(module, engine, threads, scheduler, Obs::off())?;
+    let mut runner = Runner::new(module, Engine::default(), 1)?;
     let args: Vec<RtVal> = buffers.iter().cloned().map(RtVal::Buf).collect();
     let mut batch = runner.sweep_batch(func, args, DEFAULT_SWEEP_BATCH);
     for _ in 0..iterations {

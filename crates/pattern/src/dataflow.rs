@@ -13,10 +13,15 @@
 //!
 //! This module provides:
 //!
-//! * [`Scheduler`] — the knob selecting between the two execution modes;
+//! * [`Scheduler`] — the knob selecting which graph an eager execution
+//!   drains: the level graph or the block dependence graph;
 //! * [`BlockGraph`] — CSR successor/predecessor lists plus in-degree
 //!   counts over the linearized sub-domain grid, built once per
 //!   `(grid, deps)`;
+//! * [`TaskGraph`] — the scheduled units a pool drains: coarsened chains
+//!   of the [`BlockGraph`] ([`TaskGraph::build`]), or the levels of a
+//!   wavefront CSR split into per-worker chunks and joined by one empty
+//!   task per barrier ([`TaskGraph::levels`]);
 //! * [`schedule_bundle`] — a process-wide cache pairing the wavefront CSR
 //!   (as handed to `cfd.execute_wavefronts`) with its [`BlockGraph`], so
 //!   engines can recover the graph at run time from the CSR arrays they
@@ -29,17 +34,20 @@ use crate::csr::CsrWavefronts;
 use crate::offset::Offset;
 use crate::schedule::WavefrontSchedule;
 
-/// How `cfd.execute_wavefronts` synchronizes sub-domain blocks.
+/// Which graph an eager `cfd.execute_wavefronts` drains. Batched drains
+/// (`k > 1` sweeps) always run the sweep-extended dependence graph.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum Scheduler {
-    /// Level-by-level execution with a barrier between consecutive
-    /// wavefront levels (paper §2.3 as written).
+    /// Level-by-level execution (paper §2.3 as written): the level graph
+    /// of [`TaskGraph::levels`], whose join tasks are the barriers
+    /// between consecutive wavefront levels.
     #[default]
     Levels,
     /// Point-to-point execution of the block dependence graph: each
-    /// block runs as soon as its own predecessors finish, on a
-    /// persistent work-stealing pool. Bit-identical to [`Levels`]
-    /// (enforced by `tests/engine_equiv.rs`); only wall-clock changes.
+    /// block runs as soon as its own predecessors finish, on the
+    /// work-stealing workers of one `thread::scope` per execute op.
+    /// Bit-identical to [`Levels`] (enforced by `tests/engine_equiv.rs`);
+    /// only wall-clock changes.
     Dataflow,
 }
 
@@ -218,18 +226,27 @@ pub fn shard_owner(i: usize, n: usize, workers: usize) -> usize {
 /// round and one deque transaction per `grain` blocks instead of per
 /// block, which is what rescues wavefront-poor workloads whose blocks
 /// are individually cheaper than their bookkeeping.
+///
+/// A *level graph* ([`TaskGraph::levels`]) is the same structure over a
+/// wavefront CSR instead: its units are positions in `cols`, not flat
+/// blocks.
 #[derive(Debug)]
 pub struct TaskGraph {
-    /// Blocks of task `t` are the flat range
-    /// `task_ptr[t]..task_ptr[t + 1]` (contiguous, row-clipped).
+    /// Units of task `t` are the range `task_ptr[t]..task_ptr[t + 1]`
+    /// (flat blocks, contiguous and row-clipped; or `cols` positions of
+    /// a level graph, empty for its join tasks).
     task_ptr: Vec<u32>,
     /// CSR successor lists over tasks, ascending.
     succ_ptr: Vec<usize>,
     succ: Vec<u32>,
     /// In-degree (distinct predecessor tasks) per task.
     indeg: Vec<u32>,
-    /// The fusion grain the partition was built with.
+    /// The fusion grain the partition was built with (0 for a level
+    /// graph, whose chunks are sized per level).
     grain: usize,
+    /// Level graphs only (empty otherwise): the CSR level of each task
+    /// and the worker that owns it (its chunk index within the level).
+    level_owner: Vec<(u32, u32)>,
 }
 
 impl TaskGraph {
@@ -273,6 +290,65 @@ impl TaskGraph {
             preds.sort_unstable();
             preds.dedup();
         }
+        Self::from_preds(task_ptr, &pred_tasks, grain, Vec::new())
+    }
+
+    /// The level graph of a wavefront CSR, for `workers` workers, built
+    /// from its row pointer alone. Units are positions in `cols`. Each
+    /// non-empty level splits into `min(workers, width)` near-equal
+    /// chunks, chunk `c` owned by worker `c`. A one-chunk level feeding
+    /// a one-chunk level is linked directly; otherwise an empty *join*
+    /// task after the level waits for all its chunks, and every chunk of
+    /// the next level waits for the join. The join is the level
+    /// barrier's happens-before edge at two edges per task, not the
+    /// `w_L × w_{L+1}` of a bipartite edge set. A multi-chunk last level
+    /// gets a join too, so every level is closed by its last task in
+    /// index order. Empty levels are skipped.
+    ///
+    /// # Panics
+    /// Panics if `row_ptr` is empty, does not start at 0, is not
+    /// monotone, or `workers` is zero.
+    pub fn levels(row_ptr: &[i64], workers: usize) -> Self {
+        assert!(workers > 0, "a level graph needs at least one worker");
+        assert_eq!(row_ptr.first(), Some(&0), "row_ptr must start at 0");
+        assert!(row_ptr.windows(2).all(|w| w[0] <= w[1]), "row_ptr must be monotone");
+        let levels: Vec<(usize, usize, usize)> = (0..row_ptr.len() - 1)
+            .filter(|&l| row_ptr[l] < row_ptr[l + 1])
+            .map(|l| (l, row_ptr[l] as usize, row_ptr[l + 1] as usize))
+            .collect();
+        let chunks = |i: usize| levels.get(i).map_or(1, |&(_, lo, hi)| workers.min(hi - lo));
+        let mut task_ptr = vec![0u32];
+        let mut preds: Vec<Vec<u32>> = Vec::new();
+        let mut level_owner = Vec::new();
+        // The task closing the previous level: every task of the next
+        // level waits for it.
+        let mut closer: Option<u32> = None;
+        for (i, &(level, lo, hi)) in levels.iter().enumerate() {
+            let first = preds.len() as u32;
+            for c in 0..chunks(i) {
+                task_ptr.push((lo + (c + 1) * (hi - lo) / chunks(i)) as u32);
+                preds.push(closer.into_iter().collect());
+                level_owner.push((level as u32, c as u32));
+            }
+            if chunks(i) > 1 || chunks(i + 1) > 1 {
+                task_ptr.push(hi as u32);
+                preds.push((first..preds.len() as u32).collect());
+                level_owner.push((level as u32, 0));
+            }
+            closer = Some(preds.len() as u32 - 1);
+        }
+        Self::from_preds(task_ptr, &preds, 0, level_owner)
+    }
+
+    /// Assembles the successor CSR and in-degrees from ascending
+    /// per-task predecessor lists.
+    fn from_preds(
+        task_ptr: Vec<u32>,
+        pred_tasks: &[Vec<u32>],
+        grain: usize,
+        level_owner: Vec<(u32, u32)>,
+    ) -> Self {
+        let n_tasks = task_ptr.len() - 1;
         let mut out_deg = vec![0usize; n_tasks];
         let mut indeg = vec![0u32; n_tasks];
         for (t, preds) in pred_tasks.iter().enumerate() {
@@ -299,6 +375,7 @@ impl TaskGraph {
             succ,
             indeg,
             grain,
+            level_owner,
         }
     }
 
@@ -307,9 +384,48 @@ impl TaskGraph {
         self.task_ptr.len() - 1
     }
 
-    /// The flat block range of task `t` (ascending execution order).
+    /// Number of units (blocks, or `cols` positions) the tasks cover.
+    pub fn num_units(&self) -> usize {
+        self.task_ptr[self.num_tasks()] as usize
+    }
+
+    /// The unit range of task `t` (ascending execution order).
     pub fn blocks_of(&self, t: usize) -> std::ops::Range<usize> {
         self.task_ptr[t] as usize..self.task_ptr[t + 1] as usize
+    }
+
+    /// The worker of `workers` that owns task `t`: its chunk index in a
+    /// level graph, else the stable contiguous shard of the task index
+    /// space ([`shard_owner`]).
+    pub fn owner(&self, t: usize, workers: usize) -> usize {
+        match self.level_owner.get(t) {
+            Some(&(_, chunk)) => chunk as usize,
+            None => shard_owner(t, self.num_tasks(), workers),
+        }
+    }
+
+    /// Most workers the graph can keep busy: the widest level's chunk
+    /// count for a level graph, else the task count.
+    pub fn width(&self) -> usize {
+        let chunks = self.level_owner.iter().map(|&(_, c)| c as usize + 1).max();
+        chunks.unwrap_or(self.num_tasks())
+    }
+
+    /// Whether this is a level graph ([`TaskGraph::levels`]).
+    pub fn is_level_graph(&self) -> bool {
+        !self.level_owner.is_empty()
+    }
+
+    /// Level graphs: the CSR level of task `t`; `None` otherwise.
+    pub fn level(&self, t: usize) -> Option<usize> {
+        self.level_owner.get(t).map(|&(level, _)| level as usize)
+    }
+
+    /// Level graphs: whether task `t` closes its level — the level's
+    /// join, or its only task. Every other task of the level has retired
+    /// by the time a closer does.
+    pub fn closes_level(&self, t: usize) -> bool {
+        self.level_owner.get(t + 1).map(|&(l, _)| l) != self.level_owner.get(t).map(|&(l, _)| l)
     }
 
     /// Successor tasks of `t`, ascending.
@@ -393,6 +509,8 @@ impl SweepGraph {
     /// Panics if `sweeps` is zero.
     pub fn build(tasks: Arc<TaskGraph>, sweeps: usize) -> Self {
         assert!(sweeps >= 1, "a sweep batch holds at least one sweep");
+        // The L/U cross edges need block dependences, not barriers.
+        assert!(sweeps == 1 || !tasks.is_level_graph(), "a level graph drains one sweep");
         let n = tasks.num_tasks();
         let mut cross_ptr = vec![0usize; n + 1];
         for t in 0..n {
@@ -504,6 +622,8 @@ pub struct ScheduleBundle {
     /// way — batched drains re-run every batch and must not rebuild the
     /// cross-sweep CSR per call.
     sweep_graphs: Mutex<SweepGraphMemo>,
+    /// One-sweep level graphs, memoized per worker count.
+    level_graphs: Mutex<Vec<(usize, Arc<SweepGraph>)>>,
 }
 
 /// Memo entries of [`ScheduleBundle::sweep_graph`], keyed `(grain, sweeps)`.
@@ -544,6 +664,20 @@ impl ScheduleBundle {
         memo.push((key, Arc::clone(&built)));
         built
     }
+
+    /// The one-sweep drain of [`Self::rows`]' level graph for `workers`
+    /// workers ([`TaskGraph::levels`]), built on first use and memoized
+    /// per worker count like [`Self::sweep_graph`].
+    pub fn level_graph(&self, workers: usize) -> Arc<SweepGraph> {
+        let mut memo = self.level_graphs.lock().unwrap();
+        if let Some((_, hit)) = memo.iter().find(|(w, _)| *w == workers) {
+            return Arc::clone(hit);
+        }
+        let tasks = Arc::new(TaskGraph::levels(&self.rows, workers));
+        let built = Arc::new(SweepGraph::build(tasks, 1));
+        memo.push((workers, Arc::clone(&built)));
+        built
+    }
 }
 
 /// Bound on cached `(grid, deps)` entries; on overflow the cache is
@@ -577,6 +711,7 @@ pub fn schedule_bundle(grid: &[usize], deps: &[Offset]) -> Arc<ScheduleBundle> {
         graph: Arc::new(BlockGraph::build(grid, deps)),
         tasks: Mutex::new(Vec::new()),
         sweep_graphs: Mutex::new(Vec::new()),
+        level_graphs: Mutex::new(Vec::new()),
     });
     if map.len() >= CACHE_CAP {
         map.clear();
@@ -824,6 +959,35 @@ mod tests {
         let c = bundle.sweep_graph(2, 2);
         assert_eq!(c.sweeps(), 2);
         assert!(!Arc::ptr_eq(&a, &c));
+        // Level graphs: one sweep, memoized per worker count.
+        let l = bundle.level_graph(2);
+        assert!(Arc::ptr_eq(&l, &bundle.level_graph(2)), "same workers must hit the memo");
+        assert_eq!((l.sweeps(), l.tasks().num_units()), (1, 25));
+        assert!(!Arc::ptr_eq(&l, &bundle.level_graph(3)));
+    }
+
+    #[test]
+    fn level_graph_chunks_levels_and_joins_barriers() {
+        // Widths 1, 2, (empty), 3, 1, 1 at two workers.
+        let t = TaskGraph::levels(&[0, 1, 3, 3, 6, 7, 8], 2);
+        assert_eq!((t.num_tasks(), t.num_units(), t.width()), (10, 8, 2));
+        let ranges: Vec<_> = (0..10).map(|x| t.blocks_of(x)).collect();
+        assert_eq!(ranges, vec![0..1, 1..1, 1..2, 2..3, 3..3, 3..4, 4..6, 6..6, 6..7, 7..8]);
+        let levels: Vec<_> = (0..10).map(|x| t.level(x).unwrap()).collect();
+        assert_eq!(levels, vec![0, 0, 1, 1, 1, 3, 3, 3, 4, 5]);
+        let owners: Vec<_> = (0..10).map(|x| t.owner(x, 2)).collect();
+        assert_eq!(owners, vec![0, 0, 0, 1, 0, 0, 1, 0, 0, 0]);
+        let closers: Vec<_> = (0..10).filter(|&x| t.closes_level(x)).collect();
+        assert_eq!(closers, vec![1, 4, 7, 8, 9], "joins, and one-task levels");
+        let succ: Vec<&[u32]> = (0..10).map(|x| t.successors(x)).collect();
+        assert_eq!(succ, vec![&[1][..], &[2, 3], &[4], &[4], &[5, 6], &[7], &[7], &[8], &[9], &[]]);
+        // Never the w_L x w_{L+1} bipartite edge set; one worker is a chain.
+        let rows = [0, 1, 4, 9, 17, 25, 30, 32];
+        let wide = TaskGraph::levels(&rows, 4);
+        let edges: usize = (0..wide.num_tasks()).map(|x| wide.successors(x).len()).sum();
+        assert!(edges <= 2 * wide.num_tasks());
+        let chain = TaskGraph::levels(&rows, 1);
+        assert_eq!(chain.num_tasks(), rows.len() - 1, "one task per level, no joins");
     }
 
     #[test]

@@ -12,8 +12,11 @@
 //! Writes `results/TRACE_lusgs_dataflow.json` and
 //! `results/TRACE_lusgs_levels.json`, validating each against the
 //! `trace_event` shape the viewers expect, and schema-validates the
-//! accompanying run report (histogram quantiles included). This is the
-//! EXPERIMENTS.md "dataflow vs levels, seen in Perfetto" recipe.
+//! accompanying run report (histogram quantiles included), and checks
+//! the per-level accounting: the levels run records one level row per
+//! wavefront level of each execute op, the dataflow run one all-blocks
+//! row. This is the EXPERIMENTS.md "dataflow vs levels, seen in
+//! Perfetto" recipe.
 
 use instencil::core::pipeline::compile;
 use instencil::obs::report::validate_report_json;
@@ -83,8 +86,28 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             "task durations must be folded into a histogram"
         );
 
-        // --- Chrome/Perfetto trace_event export ------------------------
+        // --- per-level accounting ---------------------------------------
+        // Levels: one record per execute op, one level row per wavefront
+        // level of its schedule (the generated schedules have no empty
+        // levels). Dataflow: one all-blocks row per execute op.
         let rec = obs.snapshot();
+        let stats = engine.stats;
+        let rows: u64 = rec.wavefronts.iter().map(|w| w.levels.len() as u64).sum();
+        let blocks: u64 = rec.wavefronts.iter().flat_map(|w| &w.levels).map(|l| l.blocks).sum();
+        assert!(rec.wavefronts.iter().all(|w| w.scheduler == scheduler.name()));
+        assert_eq!(blocks, stats.blocks_executed, "{scheduler:?}: every block in one row");
+        match scheduler {
+            Scheduler::Levels => assert_eq!(
+                rows, stats.wavefront_levels,
+                "levels: one level record per wavefront level of each execute op"
+            ),
+            Scheduler::Dataflow => assert!(
+                rec.wavefronts.iter().all(|w| w.levels.len() == 1),
+                "dataflow: one all-blocks record per execute op"
+            ),
+        }
+
+        // --- Chrome/Perfetto trace_event export ------------------------
         let rings = trace::merge_rings(&rec.rings);
         let worker_lanes = rings
             .iter()
@@ -106,11 +129,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
         let doc = trace::chrome_trace(&rings, &rec.spans).to_string();
         trace::validate_chrome_trace(&doc)?;
-        let name = match scheduler {
-            Scheduler::Dataflow => "dataflow",
-            Scheduler::Levels => "levels",
-        };
-        let path = format!("results/TRACE_lusgs_{name}.json");
+        let path = format!("results/TRACE_lusgs_{}.json", scheduler.name());
         std::fs::write(&path, &doc)?;
         let events: u64 = rings.iter().map(|r| r.events.len() as u64).sum();
         let dropped: u64 = rings.iter().map(|r| r.dropped).sum();

@@ -7,6 +7,7 @@
 //! ```
 
 use instencil::pattern::blockdeps::block_dependences;
+use instencil::pattern::dataflow::schedule_bundle;
 use instencil::pattern::{presets, WavefrontSchedule};
 use instencil::prelude::WavefrontPool;
 
@@ -46,14 +47,18 @@ fn main() {
         s5.wavefronts().max_parallelism()
     );
 
-    // Execute with real threads, level by level: each worker counts the
-    // blocks it ran in private state, merged on the calling thread.
+    // Execute with real threads, level by level: the pool drains the
+    // level graph of the cached schedule (one chunk per worker and
+    // level, a join task as each barrier); each worker counts the blocks
+    // it ran in private state, merged on the calling thread.
+    let bundle = schedule_bundle(&grid, &deps5);
     let mut executed = 0usize;
     let pool = WavefrontPool::new(4);
-    pool.try_execute_stateful(
-        s5.wavefronts(),
+    pool.try_drain(
+        &bundle,
+        1,
         || 0usize,
-        |count, _block| {
+        |count, _sweep, _block| {
             *count += 1;
             Ok::<(), std::convert::Infallible>(())
         },

@@ -1,24 +1,26 @@
 //! Property test: the dataflow scheduler never runs a block before its
 //! predecessors (§3.3 Eq. (3) soundness, pool edition).
 //!
-//! The per-level barrier pool gets this ordering for free — a level
-//! cannot start until the barrier releases it. The dataflow pool
-//! replaces the barrier with per-edge in-degree counts decremented by
-//! Release/Acquire atomics, so the ordering claim is now distributed
-//! across every edge of the block dependence graph. This test checks it
+//! The pool orders blocks with per-edge in-degree counts decremented by
+//! Release/Acquire atomics, so the ordering claim is distributed across
+//! every edge of the drained graph. This test checks it
 //! directly on random graphs: random 2-D/3-D grids, random
 //! lexicographically-negative dependence offsets, 1/2/4/8 workers. Every
 //! block execution takes start/end stamps from one shared logical clock;
 //! afterwards every block must have run exactly once and every
 //! predecessor's end stamp must precede its successor's start stamp. The
 //! eager dataflow scheduler is the sweep drain at batch depth 1; the
-//! batched drains are checked at depths 2 and 4.
+//! batched drains are checked at depths 2 and 4. The levels scheduler
+//! drains the level graph, whose barriers are join tasks — the same
+//! random grids check that no level starts before the previous one
+//! ended.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use instencil::exec::WavefrontPool;
 use instencil::obs::Obs;
 use instencil::pattern::dataflow::{schedule_bundle, BlockGraph, Scheduler};
+use instencil::pattern::WavefrontSchedule;
 use instencil_testkit::{check_n, Rng};
 
 /// A random grid of rank 2 or 3 with extents in `[1, 6]`.
@@ -66,7 +68,7 @@ fn sweep_batch_never_runs_a_block_before_its_cross_sweep_predecessors() {
                 let ends: Vec<AtomicU64> = (0..total).map(|_| AtomicU64::new(0)).collect();
                 let runs: Vec<AtomicU64> = (0..total).map(|_| AtomicU64::new(0)).collect();
                 let pool = WavefrontPool::with_opts(threads, Obs::off(), Scheduler::Dataflow);
-                pool.try_execute_sweep_batch(
+                pool.try_drain(
                     &bundle,
                     sweeps,
                     || (),
@@ -126,7 +128,10 @@ fn sweep_batch_never_runs_a_block_before_its_cross_sweep_predecessors() {
     });
 }
 
-/// The eager dataflow scheduler: the sweep drain at batch depth 1.
+/// The eager drains: the dependence graph (the dataflow scheduler, the
+/// sweep drain at batch depth 1) and the level graph (the levels
+/// scheduler), whose join tasks must additionally keep every block of
+/// level `L + 1` from starting before every block of level `L` ended.
 #[test]
 fn dataflow_trace_never_runs_a_block_before_its_predecessors() {
     check_n("dataflow-trace-ordering", 24, |rng| {
@@ -135,40 +140,57 @@ fn dataflow_trace_never_runs_a_block_before_its_predecessors() {
         let graph = BlockGraph::build(&grid, &deps);
         let n = graph.num_blocks();
         let bundle = schedule_bundle(&grid, &deps);
+        let schedule = WavefrontSchedule::compute(&grid, &deps);
         for threads in [1usize, 2, 4, 8] {
-            let clock = AtomicU64::new(1);
-            let starts: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
-            let ends: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
-            let runs: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
-            let pool = WavefrontPool::with_opts(threads, Obs::off(), Scheduler::Dataflow);
-            pool.try_execute_sweep_batch(
-                &bundle,
-                1,
-                || (),
-                |_, _, b| {
-                    starts[b].store(clock.fetch_add(1, Ordering::SeqCst), Ordering::SeqCst);
-                    runs[b].fetch_add(1, Ordering::SeqCst);
-                    ends[b].store(clock.fetch_add(1, Ordering::SeqCst), Ordering::SeqCst);
-                    Ok::<(), std::convert::Infallible>(())
-                },
-                |()| {},
-            )
-            .expect("infallible work cannot error");
-            let label = format!("grid {grid:?} deps {deps:?} threads {threads}");
-            for b in 0..n {
-                assert_eq!(
-                    runs[b].load(Ordering::SeqCst),
+            for scheduler in [Scheduler::Dataflow, Scheduler::Levels] {
+                let clock = AtomicU64::new(1);
+                let starts: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
+                let ends: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
+                let runs: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
+                let pool = WavefrontPool::with_opts(threads, Obs::off(), scheduler);
+                pool.try_drain(
+                    &bundle,
                     1,
-                    "{label}: block {b} must run exactly once"
-                );
-                let start = starts[b].load(Ordering::SeqCst);
-                for &p in graph.predecessors(b) {
-                    let pred_end = ends[p as usize].load(Ordering::SeqCst);
-                    assert!(
-                        pred_end < start,
-                        "{label}: block {b} (start {start}) ran before its \
-                         predecessor {p} finished (end {pred_end})"
+                    || (),
+                    |_, _, b| {
+                        starts[b].store(clock.fetch_add(1, Ordering::SeqCst), Ordering::SeqCst);
+                        runs[b].fetch_add(1, Ordering::SeqCst);
+                        ends[b].store(clock.fetch_add(1, Ordering::SeqCst), Ordering::SeqCst);
+                        Ok::<(), std::convert::Infallible>(())
+                    },
+                    |()| {},
+                )
+                .expect("infallible work cannot error");
+                let label = format!("grid {grid:?} deps {deps:?} threads {threads} {scheduler:?}");
+                for b in 0..n {
+                    assert_eq!(
+                        runs[b].load(Ordering::SeqCst),
+                        1,
+                        "{label}: block {b} must run exactly once"
                     );
+                    let start = starts[b].load(Ordering::SeqCst);
+                    for &p in graph.predecessors(b) {
+                        let pred_end = ends[p as usize].load(Ordering::SeqCst);
+                        assert!(
+                            pred_end < start,
+                            "{label}: block {b} (start {start}) ran before its \
+                             predecessor {p} finished (end {pred_end})"
+                        );
+                    }
+                }
+                if scheduler == Scheduler::Levels {
+                    let level = |b: usize| schedule.level_of_flat(b);
+                    for (a, b) in (0..n).flat_map(|a| (0..n).map(move |b| (a, b))) {
+                        let end = ends[a].load(Ordering::SeqCst);
+                        let start = starts[b].load(Ordering::SeqCst);
+                        assert!(
+                            level(a) >= level(b) || end < start,
+                            "{label}: block {b} of level {} started before block {a} \
+                             of level {} ended",
+                            level(b),
+                            level(a)
+                        );
+                    }
                 }
             }
         }

@@ -2,10 +2,11 @@
 //!
 //! The run-specialized engine writes tiles through raw (non-atomic)
 //! `f64` views, which is sound only because Eq. (3) scheduling makes
-//! same-level block write sets disjoint. Debug builds *verify* that
-//! claim at runtime: every store inside a wavefront block is recorded,
-//! and when two blocks of the same level touch a common flat extent of
-//! one allocation the engine panics naming both blocks and the extent.
+//! the write sets of blocks that may run concurrently disjoint. Debug
+//! builds *verify* that claim at runtime: every store inside a wavefront
+//! block is recorded, and when two blocks the drained graph leaves
+//! unordered touch a common flat extent of one allocation the engine
+//! panics naming both blocks and the extent.
 //!
 //! These tests drive the checker both ways with a hand-built two-block
 //! module whose blocks write *overlapping* one-dimensional extents
@@ -17,30 +18,48 @@
 //! * an empty `block_stencil` (a deliberate scheduling lie) puts both
 //!   blocks in level 0 — debug builds must panic with
 //!   `wavefront overlap: blocks 0 and 1 … flat extent [1, 1]`, under
-//!   levels, the eager dataflow drain and a batched two-sweep drain.
+//!   the level graph, the eager dataflow drain and a batched two-sweep
+//!   drain.
 //!
-//! The checkers live in the bytecode engine's worker pool, which runs
+//! A variant takes the CSR as `tensor<?xi64>` arguments, content-equal
+//! copies of the cached ones: with no dependence graph to recover, both
+//! schedulers drain the level graph built from `rows` for the call, must
+//! match the interpreter bit for bit, and are checked the same way.
+//!
+//! The checker lives in the bytecode engine's worker pool, which runs
 //! the same worker loop at one thread as at many; the sequential
 //! reference interpreter runs no pool and checks nothing. Release builds
 //! compile the checker out, so the panicking halves are
 //! `#[cfg(debug_assertions)]`-gated; the clean half runs everywhere.
 
+use std::sync::Arc;
+
 use instencil::core::ops::build_get_parallel_blocks;
+use instencil::exec::ExecStats;
 use instencil::ir::{attr::AttrMap, OpCode};
+use instencil::pattern::dataflow::schedule_bundle;
 use instencil::prelude::*;
 
 /// A lowered module with one `ExecuteWavefronts` op over two blocks on
 /// a 1-D grid. Block `f` stores to elements `f` and `f+1` of the
 /// argument buffer, so blocks 0 and 1 overlap at element 1 *iff* they
 /// run in the same level. `deps` is the `block_stencil` payload over
-/// shape `[3]` (offset −1, 0, +1; `-1` marks a dependence).
-fn two_block_module(deps: Vec<i8>) -> Module {
+/// shape `[3]` (offset −1, 0, +1; `-1` marks a dependence); with `None`
+/// the level CSR comes in as two `tensor<?xi64>` arguments (`rows`,
+/// `cols`) instead, arrays the schedule cache did not mint.
+fn two_block_module(deps: Option<Vec<i8>>) -> Module {
     let mr = Type::memref_dyn(Type::F64, 1);
-    let mut fb = FuncBuilder::new("wf", vec![mr], vec![]);
+    let arr = Type::tensor(Type::I64, vec![None]);
+    let args = if deps.is_some() { vec![mr] } else { vec![mr, arr.clone(), arr] };
+    let mut fb = FuncBuilder::new("wf", args, vec![]);
     let buf = fb.arg(0);
-    let nb = fb.const_index(2);
-    let (rows, cols) = build_get_parallel_blocks(&mut fb, &[nb], vec![3], deps);
-
+    let (rows, cols) = match deps {
+        Some(deps) => {
+            let nb = fb.const_index(2);
+            build_get_parallel_blocks(&mut fb, &[nb], vec![3], deps)
+        }
+        None => (fb.arg(1), fb.arg(2)),
+    };
     let region = fb.body_mut().add_region();
     let block = fb.body_mut().add_block(region);
     let flat = fb.body_mut().add_block_arg(block, Type::Index);
@@ -68,6 +87,39 @@ fn two_block_module(deps: Vec<i8>) -> Module {
     m
 }
 
+/// Runs `two_block_module(None)` once, on content-equal copies of the CSR
+/// the schedule cache minted for a 2-block grid under `deps`: on the
+/// interpreter (`pool == None`) or on `(threads, scheduler)` bytecode
+/// workers. Returns the buffer's bits, the statistics and whether
+/// `dataflow-fallback` fired.
+fn run_csr_arguments(
+    m: &Module,
+    deps: &[Vec<i64>],
+    pool: Option<(usize, Scheduler)>,
+) -> (Vec<u64>, ExecStats, bool) {
+    let bundle = schedule_bundle(&[2], deps);
+    let b = BufferView::alloc(&[4]);
+    let copy = |a: &Arc<Vec<i64>>| RtVal::I64Arr(Arc::new(a.to_vec()));
+    let args = vec![RtVal::Buf(b.clone()), copy(&bundle.rows), copy(&bundle.cols)];
+    let obs = Obs::new(ObsLevel::Summary);
+    let stats = match pool {
+        None => {
+            let mut interp = Interpreter::new();
+            interp.call(m, "wf", args).expect("wavefront module runs");
+            interp.stats
+        }
+        Some((threads, scheduler)) => {
+            let mut engine = BytecodeEngine::compile_with_obs(m, threads, obs.clone())
+                .expect("wavefront module compiles")
+                .with_scheduler(scheduler);
+            engine.call("wf", args).expect("wavefront module runs");
+            engine.stats
+        }
+    };
+    let fell_back = obs.snapshot().events.iter().any(|e| e.name == "dataflow-fallback");
+    (b.to_vec().iter().map(|x| x.to_bits()).collect(), stats, fell_back)
+}
+
 /// Block `f` depends on block `f−1`: the honest Eq. (3) schedule,
 /// serializing the two blocks into separate levels.
 fn honest_deps() -> Vec<i8> {
@@ -87,7 +139,7 @@ fn run_interp(m: &Module) {
         .expect("wavefront module runs");
 }
 
-/// One worker: the levels loop's checker, on the calling thread.
+/// One worker: the level graph's checker, on the calling thread.
 fn run_bytecode(m: &Module) {
     let b = BufferView::alloc(&[4]);
     BytecodeEngine::compile(m)
@@ -96,9 +148,9 @@ fn run_bytecode(m: &Module) {
         .expect("wavefront module runs");
 }
 
-/// The dataflow scheduler replaces the per-level checker with a
-/// graph-reachability checker: two blocks may write a common extent only
-/// if one is an ancestor of the other in the block dependence graph.
+/// The dataflow scheduler judges by reachability instead of levels: two
+/// blocks may write a common extent only if one is an ancestor of the
+/// other in the block dependence graph.
 fn run_bytecode_dataflow(m: &Module) {
     let b = BufferView::alloc(&[4]);
     BytecodeEngine::compile_with_threads(m, 2)
@@ -130,7 +182,7 @@ fn run_bytecode_batched(m: &Module) {
 
 #[test]
 fn correct_schedule_runs_clean() {
-    let m = two_block_module(honest_deps());
+    let m = two_block_module(Some(honest_deps()));
     run_interp(&m);
     run_bytecode(&m);
 }
@@ -139,9 +191,26 @@ fn correct_schedule_runs_clean() {
 fn correct_schedule_runs_clean_under_dataflow() {
     // Block 1 depends on block 0, so the graph orders them and the
     // shared element-1 write is sound — the dataflow checker must agree.
-    let m = two_block_module(honest_deps());
+    let m = two_block_module(Some(honest_deps()));
     run_bytecode_dataflow(&m);
     run_bytecode_batched(&m);
+}
+
+#[test]
+fn csr_arguments_the_cache_did_not_mint_drain_the_level_graph() {
+    // Honest CSR: block 1 in the level after block 0.
+    let m = two_block_module(None);
+    let deps = [vec![-1i64]];
+    let (want, want_stats, _) = run_csr_arguments(&m, &deps, None);
+    for scheduler in [Scheduler::Levels, Scheduler::Dataflow] {
+        for threads in [1usize, 2] {
+            let (got, stats, fell_back) = run_csr_arguments(&m, &deps, Some((threads, scheduler)));
+            let label = format!("{scheduler:?} threads={threads}");
+            assert_eq!((got.as_slice(), stats), (want.as_slice(), want_stats), "{label}");
+            let asked = scheduler == Scheduler::Dataflow;
+            assert_eq!(fell_back, asked, "{label}: only an asked-for dataflow drain falls back");
+        }
+    }
 }
 
 #[cfg(debug_assertions)]
@@ -169,23 +238,36 @@ mod debug_only {
 
     #[test]
     fn mis_schedule_panics_in_bytecode() {
-        let m = two_block_module(lying_deps());
+        let m = two_block_module(Some(lying_deps()));
         expect_overlap_panic(move || run_bytecode(&m));
     }
 
     #[test]
     fn mis_schedule_panics_in_bytecode_dataflow() {
         // With no dependences both blocks are roots of the block graph
-        // — unordered — yet both write element 1: the dataflow-mode
-        // reachability checker must object exactly like the per-level
-        // checker does under barriers.
-        let m = two_block_module(lying_deps());
+        // — unordered — yet both write element 1: the reachability
+        // relation must object exactly like the level relation does.
+        let m = two_block_module(Some(lying_deps()));
         expect_overlap_panic(move || run_bytecode_dataflow(&m));
     }
 
     #[test]
+    fn mis_schedule_panics_with_csr_arguments() {
+        // A lying CSR passed in as arguments (both blocks in level 0):
+        // the level graph built for the call is checked like a cached one.
+        for scheduler in [Scheduler::Levels, Scheduler::Dataflow] {
+            for threads in [1usize, 2] {
+                let m = two_block_module(None);
+                expect_overlap_panic(move || {
+                    run_csr_arguments(&m, &[], Some((threads, scheduler)));
+                });
+            }
+        }
+    }
+
+    #[test]
     fn mis_schedule_panics_in_bytecode_batched() {
-        let m = two_block_module(lying_deps());
+        let m = two_block_module(Some(lying_deps()));
         expect_overlap_panic(move || run_bytecode_batched(&m));
     }
 }
