@@ -33,6 +33,10 @@ cargo build $OFFLINE --workspace --release
 # `run_until_converged`): build it here so an API break fails CI. The
 # shared target directory is the one benchmark/run.sh builds into.
 CARGO_TARGET_DIR=target cargo build --release $OFFLINE --manifest-path benchmark/Cargo.toml
+# The executor takes its schedule from the program and no machine model:
+# no dependency on the model crate, and no process-global state.
+if cargo tree $OFFLINE -p instencil-exec -e normal | grep instencil-machine; then echo "instencil-exec depends on instencil-machine" >&2; exit 1; fi
+if grep -rn OnceLock crates/exec/src crates/pattern/src; then echo "process-global state in exec/pattern" >&2; exit 1; fi
 
 echo "==> cargo test (tier-1: default-members cover the whole workspace)"
 # Runs in the debug profile, so the wavefront overlap checkers are armed

@@ -29,7 +29,7 @@ use std::sync::{Arc, Mutex};
 use instencil_ir::{CmpPred, Module};
 use instencil_obs::trace::{self, TraceKind};
 use instencil_obs::Obs;
-use instencil_pattern::dataflow::{self, Scheduler};
+use instencil_pattern::dataflow::{ScheduleBundle, Scheduler};
 
 use crate::buffer::BufferView;
 use crate::compile::{compile_program, BcCompileError, BcOptions};
@@ -290,6 +290,8 @@ pub(crate) enum Instr {
         deps: Box<[Vec<i64>]>,
         rows: u32,
         cols: u32,
+        /// Slot in the engine's schedule memo (numbered program-wide).
+        slot: u32,
     },
     Call {
         func: u32,
@@ -404,6 +406,14 @@ impl BcProgram {
     }
 }
 
+/// An `i64` array register's value. The `cols` a `cfd.get_parallel_blocks`
+/// wrote carries its [`ScheduleBundle`] to the execute op that drains it.
+#[derive(Clone, Debug)]
+struct Arr {
+    data: Arc<Vec<i64>>,
+    sched: Option<Arc<ScheduleBundle>>,
+}
+
 /// Per-call register files: the whole mutable state of one frame. Cloned
 /// per wavefront worker (flat `memcpy`-able vectors plus a slot table of
 /// buffer views — far cheaper than cloning an `RtVal` environment).
@@ -413,7 +423,7 @@ pub(crate) struct Regs {
     pub(crate) i: Vec<i64>,
     pub(crate) v: Vec<f64>,
     pub(crate) b: Vec<Option<BufferView>>,
-    a: Vec<Option<Arc<Vec<i64>>>>,
+    a: Vec<Option<Arr>>,
     /// Reusable index scratch for scalar/vector memory access (no
     /// per-point allocation).
     scratch: Vec<i64>,
@@ -456,7 +466,7 @@ impl Regs {
             .ok_or_else(|| ExecError::new("use of unset buffer register"))
     }
 
-    fn arr(&self, slot: u32) -> Result<&Arc<Vec<i64>>, ExecError> {
+    fn arr(&self, slot: u32) -> Result<&Arr, ExecError> {
         self.a[slot as usize]
             .as_ref()
             .ok_or_else(|| ExecError::new("use of unset i64-array register"))
@@ -474,7 +484,9 @@ impl Regs {
                 self.v[off as usize..(off + lanes) as usize].copy_from_slice(&x);
             }
             (RKind::Buf, Reg::B(d), RtVal::Buf(b)) => self.b[d as usize] = Some(b),
-            (RKind::Arr, Reg::A(d), RtVal::I64Arr(a)) => self.a[d as usize] = Some(a),
+            (RKind::Arr, Reg::A(d), RtVal::I64Arr(data)) => {
+                self.a[d as usize] = Some(Arr { data, sched: None });
+            }
             (_, _, other) => {
                 return Err(ExecError::new(format!(
                     "argument kind mismatch: got {other:?}"
@@ -499,7 +511,8 @@ impl Regs {
             ),
             (RKind::Arr, Reg::A(s)) => RtVal::I64Arr(
                 self.a[s as usize]
-                    .clone()
+                    .as_ref()
+                    .map(|a| Arc::clone(&a.data))
                     .ok_or_else(|| ExecError::new("unset array result"))?,
             ),
             (k, r) => return Err(ExecError::new(format!("result kind mismatch {k:?}/{r:?}"))),
@@ -547,6 +560,9 @@ pub struct BytecodeEngine {
     #[allow(clippy::vec_box)] // boxed on purpose: frames hold `Box<RunScratch>`,
     // so pool push/pop transfers one pointer instead of moving the arena struct
     scratch_pool: Mutex<Vec<Box<RunScratch>>>,
+    /// The bundle each `cfd.get_parallel_blocks` op of `program` last
+    /// computed, reused while the op's grid is unchanged.
+    schedules: Mutex<Vec<Option<Arc<ScheduleBundle>>>>,
 }
 
 impl BytecodeEngine {
@@ -602,6 +618,7 @@ impl BytecodeEngine {
             obs,
             scheduler: Scheduler::Levels,
             scratch_pool: Mutex::new(Vec::new()),
+            schedules: Mutex::new(Vec::new()),
         })
     }
 
@@ -623,6 +640,17 @@ impl BytecodeEngine {
         self.scheduler
     }
 
+    /// The execution context of one call: a pool over this engine's
+    /// workers, and the engine's cross-call scratch and schedule memo.
+    fn ctx(&self) -> BcCtx<'_> {
+        BcCtx {
+            program: &self.program,
+            pool: WavefrontPool::with_opts(self.threads, self.obs.clone(), self.scheduler),
+            scratch: &self.scratch_pool,
+            schedules: &self.schedules,
+        }
+    }
+
     /// Calls a compiled function by name.
     ///
     /// # Errors
@@ -633,13 +661,8 @@ impl BytecodeEngine {
             .program
             .lookup(name)
             .ok_or_else(|| ExecError::new(format!("no function `{name}`")))?;
-        let ctx = BcCtx {
-            program: &self.program,
-            pool: WavefrontPool::with_opts(self.threads, self.obs.clone(), self.scheduler),
-            scratch: &self.scratch_pool,
-        };
         let mut stats = ExecStats::default();
-        let out = ctx.call(fi, args, &mut stats);
+        let out = self.ctx().call(fi, args, &mut stats);
         // Merge even on error so partially executed work is accounted.
         self.stats.merge(&stats);
         out
@@ -657,9 +680,9 @@ impl BytecodeEngine {
     ///
     /// Batching requires the entry tape to be a *pure prefix* (register
     /// arithmetic, views, `cfd.get_parallel_blocks`) ending in exactly
-    /// one `scf.execute_wavefronts`; any other shape — or a schedule not
-    /// minted by the bundle cache — falls back to eager calls and
-    /// reports a `sweep-batch-fallback` obs event.
+    /// one `scf.execute_wavefronts`; any other shape — or CSR arrays
+    /// passed in as arguments, which carry no bundle — falls back to
+    /// eager drains and reports a `sweep-batch-fallback` obs event.
     ///
     /// # Errors
     /// As [`Self::call`]; the first failing sweep aborts the batch.
@@ -688,13 +711,8 @@ impl BytecodeEngine {
             }
             return Ok(out);
         }
-        let ctx = BcCtx {
-            program: &self.program,
-            pool: WavefrontPool::with_opts(self.threads, self.obs.clone(), self.scheduler),
-            scratch: &self.scratch_pool,
-        };
         let mut stats = ExecStats::default();
-        let out = ctx.call_batched(fi, args, sweeps, &mut stats);
+        let out = self.ctx().call_batched(fi, args, sweeps, &mut stats);
         self.stats.merge(&stats);
         out
     }
@@ -704,7 +722,7 @@ impl BytecodeEngine {
 /// function is sweep-batchable: the wavefront sweep must be the last
 /// instruction, and everything before it must be re-executable without
 /// observing buffer contents — register arithmetic, constants, view
-/// construction, `memref.dim`, and the (cached, pure) schedule
+/// construction, `memref.dim`, and the (memoized, pure) schedule
 /// computation. Buffer loads are excluded on purpose: a prefix that read
 /// a cell the sweep overwrites would see different values on the second
 /// eager call, so batching it would not be equivalent.
@@ -761,6 +779,8 @@ struct BcCtx<'p> {
     /// it back when they finish.
     #[allow(clippy::vec_box)] // see `BytecodeEngine::scratch_pool`
     scratch: &'p Mutex<Vec<Box<RunScratch>>>,
+    /// The engine's schedule memo (see [`BytecodeEngine`]).
+    schedules: &'p Mutex<Vec<Option<Arc<ScheduleBundle>>>>,
 }
 
 impl BcCtx<'_> {
@@ -769,6 +789,18 @@ impl BcCtx<'_> {
     fn checkout(&self, regs: &mut Regs) {
         if let Some(rs) = self.scratch.lock().unwrap().pop() {
             regs.rs = rs;
+        }
+    }
+
+    /// The bundle of `cfd.get_parallel_blocks` number `slot` on `grid`:
+    /// the memoized one while the grid is unchanged, else a fresh one.
+    fn schedule(&self, slot: usize, grid: &[usize], deps: &[Vec<i64>]) -> Arc<ScheduleBundle> {
+        let mut memo = self.schedules.lock().expect("schedule memo poisoned by a panicked worker");
+        let len = memo.len().max(slot + 1);
+        memo.resize(len, None);
+        match &memo[slot] {
+            Some(b) if b.graph.grid() == grid => Arc::clone(b),
+            _ => Arc::clone(memo[slot].insert(Arc::new(ScheduleBundle::new(grid, deps)))),
         }
     }
 
@@ -1100,22 +1132,21 @@ impl BcCtx<'_> {
                     deps,
                     rows,
                     cols,
+                    slot,
                 } => {
                     let grid: Vec<usize> = dims
                         .iter()
                         .map(|&r| regs.i[r as usize].max(1) as usize)
                         .collect();
                     let mut span = self.pool.obs().span("run:schedule");
-                    // Cached per (grid, deps) process-wide; the Arc
-                    // identity of `cols` lets `exec_wavefronts` recover
-                    // the dependence graph for dataflow mode.
-                    let bundle = dataflow::schedule_bundle(&grid, deps.as_ref());
-                    span.note("levels", bundle.csr.num_levels() as i64);
+                    let bundle = self.schedule(*slot as usize, &grid, deps);
+                    span.note("levels", bundle.num_levels() as i64);
                     span.note("blocks", grid.iter().product::<usize>() as i64);
                     drop(span);
                     stats.schedules_computed += 1;
-                    regs.a[*rows as usize] = Some(Arc::clone(&bundle.rows));
-                    regs.a[*cols as usize] = Some(Arc::clone(&bundle.cols));
+                    let (r, c) = (Arc::clone(&bundle.rows), Arc::clone(&bundle.cols));
+                    regs.a[*rows as usize] = Some(Arr { data: r, sched: None });
+                    regs.a[*cols as usize] = Some(Arr { data: c, sched: Some(bundle) });
                 }
                 Instr::Call {
                     func: callee_idx,
@@ -1396,7 +1427,7 @@ impl BcCtx<'_> {
         regs: &mut Regs,
         stats: &mut ExecStats,
     ) -> Result<(), ExecError> {
-        let (rows, cols) = (regs.arr(rows)?, regs.arr(cols)?);
+        let (rows, cols) = (&regs.arr(rows)?.data, regs.arr(cols)?);
         stats.wavefront_levels += (sweeps * (rows.len() - 1)) as u64;
         // Each worker gets a clone of the register files: tape-local
         // registers are written per block but never read across blocks
@@ -1406,7 +1437,8 @@ impl BcCtx<'_> {
         parallel::execute_wavefronts(
             &self.pool,
             rows,
-            cols,
+            &cols.data,
+            cols.sched.as_deref(),
             sweeps,
             || {
                 let mut r = base.clone();
@@ -1562,6 +1594,33 @@ mod tests {
         });
         eng.call("f", vec![]).unwrap();
         assert_eq!(eng.stats.schedules_computed, 1);
+    }
+
+    #[test]
+    fn schedule_memo_is_per_op_per_grid_and_per_engine() {
+        // `f(n)` computes the 5-point schedule of an n x n block grid.
+        let mut m = Module::new("t");
+        let mut fb = FuncBuilder::new("f", vec![Type::Index], vec![]);
+        let n = fb.arg(0);
+        let deps = vec![0, 0, 0, -1, 0, 0, 0, -1, 0];
+        instencil_core::ops::build_get_parallel_blocks(&mut fb, &[n, n], vec![3, 3], deps);
+        fb.ret(vec![]);
+        m.push_func(fb.finish());
+        m.verify().unwrap();
+        // Calls `f(n)` and returns the bundle in the op's memo slot.
+        let run = |eng: &mut BytecodeEngine, n| {
+            eng.call("f", vec![RtVal::Int(n)]).unwrap();
+            eng.schedules.lock().unwrap()[0].clone().unwrap()
+        };
+        let mut a = BytecodeEngine::compile(&m).unwrap();
+        let first = run(&mut a, 3);
+        assert!(Arc::ptr_eq(&first, &run(&mut a, 3)), "the same grid shares one bundle");
+        let grown = run(&mut a, 4);
+        assert!(!Arc::ptr_eq(&first, &grown), "a new grid replaces the bundle");
+        assert_eq!(grown.graph.grid(), &[4, 4]);
+        assert_eq!(a.stats.schedules_computed, 3, "every call counts its schedule");
+        let mut b = BytecodeEngine::compile(&m).unwrap();
+        assert!(!Arc::ptr_eq(&grown, &run(&mut b, 4)), "engines hold distinct bundles");
     }
 
     #[test]

@@ -106,11 +106,11 @@ pub(crate) fn compile_program(
     // Callee indices resolve against module order (call targets may be
     // defined after their callers).
     let names: Vec<&str> = module.funcs().iter().map(|f| f.name.as_str()).collect();
-    let mut run_loops = 0u32;
+    let (mut run_loops, mut schedules) = (0u32, 0u32);
     let funcs = module
         .funcs()
         .iter()
-        .map(|f| compile_func(f, &names, opts, obs, &mut run_loops))
+        .map(|f| compile_func(f, &names, opts, obs, &mut run_loops, &mut schedules))
         .collect::<Result<Vec<_>, _>>()?;
     Ok(BcProgram { funcs })
 }
@@ -158,6 +158,8 @@ struct FnCompiler<'m> {
     /// Specialized loops numbered so far, program-wide: each
     /// [`runspec::RunSpec`] takes the next number as its plan slot.
     run_loops: u32,
+    /// `cfd.get_parallel_blocks` ops numbered so far, program-wide (memo slots).
+    schedules: u32,
 }
 
 fn compile_func(
@@ -166,6 +168,7 @@ fn compile_func(
     opts: BcOptions,
     obs: &Obs,
     run_loops: &mut u32,
+    schedules: &mut u32,
 ) -> Result<BcFunc, BcCompileError> {
     let body = &func.body;
     let mut c = FnCompiler {
@@ -182,10 +185,12 @@ fn compile_func(
         runspec_declines: Vec::new(),
         const_i: HashMap::new(),
         run_loops: *run_loops,
+        schedules: *schedules,
     };
     let entry = c.compile_block(body.entry_block())?;
     debug_assert_eq!(entry, 0, "entry block must be tape 0");
     *run_loops = c.run_loops;
+    *schedules = c.schedules;
     let entry_args = &body.block(body.entry_block()).args;
     let args = func
         .arg_types
@@ -764,7 +769,9 @@ impl FnCompiler<'_> {
                     deps,
                     rows,
                     cols,
+                    slot: self.schedules,
                 });
+                self.schedules += 1;
             }
             OpCode::Call => {
                 let callee = op

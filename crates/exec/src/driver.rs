@@ -320,9 +320,8 @@ impl<'m> Runner<'m> {
 /// enough to amortize the per-call fixed cost (dispatch, register file,
 /// prefix tape, schedule lookup) over a batch, shallow enough that
 /// convergence checks at batch boundaries overshoot the true stopping
-/// sweep by at most 7. The autotuner refines this per problem via
-/// [`best_batch_depth`](instencil_machine::best_batch_depth) into
-/// [`TunedTiles::batch`](instencil_machine::TunedTiles).
+/// sweep by at most 7. Every batched sweep runs at this depth: the cost
+/// model computes a per-problem depth, but nothing applies it yet.
 pub const DEFAULT_SWEEP_BATCH: usize = 8;
 
 /// A lazy queue of identical in-place sweeps over one [`Runner`]

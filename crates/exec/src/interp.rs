@@ -28,7 +28,7 @@ use instencil_core::attrs::attr_to_pattern;
 use instencil_core::ops::RegionLayout;
 use instencil_ir::body::ValueDef;
 use instencil_ir::{Attribute, Body, Module, OpCode, OpId, RegionId, Type, ValueId};
-use instencil_pattern::{blockdeps, dataflow, Sweep};
+use instencil_pattern::{blockdeps, Sweep, WavefrontSchedule};
 
 use crate::buffer::BufferView;
 use crate::stats::ExecStats;
@@ -437,12 +437,13 @@ impl ExecCtx<'_> {
                     .and_then(Attribute::as_dense_i8)
                     .ok_or_else(|| ExecError::new("missing block_stencil"))?;
                 let deps = blockdeps::from_block_stencil(shape, data);
-                // The bundle cache runs the Eq. (3) sweep once per
-                // (grid, deps) pair process-wide.
-                let bundle = dataflow::schedule_bundle(&grid, &deps);
+                // The reference walks the levels itself: the CSR is all
+                // it needs, no dependence graph.
+                let csr = WavefrontSchedule::compute(&grid, &deps).into_wavefronts();
+                let widen = |xs: &[usize]| Arc::new(xs.iter().map(|&x| x as i64).collect());
                 stats.schedules_computed += 1;
-                env[op.results[0].index()] = Some(RtVal::I64Arr(Arc::clone(&bundle.rows)));
-                env[op.results[1].index()] = Some(RtVal::I64Arr(Arc::clone(&bundle.cols)));
+                env[op.results[0].index()] = Some(RtVal::I64Arr(widen(csr.row_ptr())));
+                env[op.results[1].index()] = Some(RtVal::I64Arr(widen(csr.cols())));
             }
             OpCode::Call => {
                 let callee = op

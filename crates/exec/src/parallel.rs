@@ -17,8 +17,8 @@
 //!   executor, eager execution its length-1 case). Blocks are coarsened
 //!   into [`TaskGraph`] tasks: chains of consecutive small blocks fuse
 //!   into single scheduled units so the atomic in-degree traffic and
-//!   deque locking amortize over real work (the machine model's
-//!   [`Machine::dataflow_grain`] picks the fusion grain).
+//!   deque locking amortize over real work ([`dataflow::dataflow_grain`]
+//!   picks the fusion grain from the block count and the worker count).
 //!
 //! Each worker drains a ready-set of tasks and routes newly-ready ones
 //! to their owner's deque ([`TaskGraph::owner`]: a level chunk's owner
@@ -40,11 +40,10 @@
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use instencil_machine::topology::{xeon_6152_dual, Machine};
 use instencil_obs::trace::{self, TraceKind};
 use instencil_obs::{LevelRecord, Obs, WavefrontRecord, WorkerRecord};
 use instencil_pattern::dataflow::{
@@ -76,11 +75,10 @@ struct WorkerStats {
     levels: Vec<WorkerRecord>,
 }
 
-/// The process-default machine model (the paper's evaluation platform);
-/// used when a pool is built without an explicit [`Machine`].
-fn default_machine() -> Arc<Machine> {
-    static MODEL: OnceLock<Arc<Machine>> = OnceLock::new();
-    Arc::clone(MODEL.get_or_init(|| Arc::new(xeon_6152_dual())))
+/// The peers idle worker `w` scans: each once, from `w + 1` wrapping, so
+/// thieves spread over distinct victims instead of all probing worker 0.
+fn steal_ring(w: usize, threads: usize) -> impl Iterator<Item = usize> {
+    (w + 1..threads).chain(0..w)
 }
 
 /// A scoped thread pool executing wavefront schedules.
@@ -89,7 +87,6 @@ pub struct WavefrontPool {
     threads: usize,
     obs: Obs,
     scheduler: Scheduler,
-    machine: Arc<Machine>,
 }
 
 impl WavefrontPool {
@@ -98,37 +95,20 @@ impl WavefrontPool {
         Self::with_opts(threads, Obs::off(), Scheduler::Levels)
     }
 
-    /// Creates a pool with an explicit scheduler mode, on the default
-    /// machine model, that records per-level (and, at
-    /// [`instencil_obs::ObsLevel::Trace`], per-worker) timings into `obs`.
+    /// Creates a pool with an explicit scheduler mode that records
+    /// per-level (and, at [`instencil_obs::ObsLevel::Trace`], per-worker)
+    /// timings into `obs`.
     pub fn with_opts(threads: usize, obs: Obs, scheduler: Scheduler) -> Self {
-        Self::with_machine(threads, obs, scheduler, default_machine())
-    }
-
-    /// Creates a pool whose steal order and coarsening grain derive
-    /// from an explicit [`Machine`] topology.
-    pub fn with_machine(
-        threads: usize,
-        obs: Obs,
-        scheduler: Scheduler,
-        machine: Arc<Machine>,
-    ) -> Self {
         WavefrontPool {
             threads: threads.max(1),
             obs,
             scheduler,
-            machine,
         }
     }
 
     /// Number of workers.
     pub fn threads(&self) -> usize {
         self.threads
-    }
-
-    /// The machine topology this pool schedules against.
-    pub fn machine(&self) -> &Machine {
-        &self.machine
     }
 
     /// The observability collector this pool reports into.
@@ -141,11 +121,10 @@ impl WavefrontPool {
         self.scheduler
     }
 
-    /// The coarsening grain for `graph` under this pool's machine model
-    /// and worker count.
+    /// The coarsening grain for `graph` at this pool's worker count.
     fn grain_for(&self, graph: &BlockGraph) -> usize {
         let inner = graph.grid().last().copied().unwrap_or(1);
-        self.machine.dataflow_grain(graph.num_blocks(), inner, self.threads)
+        dataflow::dataflow_grain(graph.num_blocks(), inner, self.threads)
     }
 
     /// Executes `sweeps ≥ 1` identical in-place sweeps of `bundle`'s
@@ -159,11 +138,11 @@ impl WavefrontPool {
     ///   `scheduler: "levels"`, one [`LevelRecord`] per level.
     /// * Otherwise it drains the sweep-extended dependence graph
     ///   ([`SweepGraph`]): node `(s, t)` is task `t` of sweep `s` (a chain
-    ///   of up to `grain` consecutive blocks at the machine-derived
-    ///   coarsening grain), with the intra-sweep task edges plus
-    ///   cross-sweep edges from `{t} ∪ pred(t)` of sweep `s` into
-    ///   `(s+1, ·)`, so block `b` of sweep `s+1` may start as soon as its
-    ///   own lex-forward neighborhood of sweep `s` has retired. At
+    ///   of up to `grain` consecutive blocks, [`dataflow::dataflow_grain`]),
+    ///   with the intra-sweep task edges plus cross-sweep edges from
+    ///   `{t} ∪ pred(t)` of sweep `s` into `(s+1, ·)`, so block `b` of
+    ///   sweep `s+1` may start as soon as its own lex-forward
+    ///   neighborhood of sweep `s` has retired. At
     ///   `sweeps == 1` this is eager dataflow execution. Recorded as
     ///   `scheduler: "dataflow"`, one all-blocks [`LevelRecord`]; a
     ///   batch's trace tasks carry sweep tag `s + 1`, an eager drain's 0.
@@ -179,7 +158,7 @@ impl WavefrontPool {
     /// `(t, s) → (t', s+1)` while the stripe is still cache-resident. An
     /// idle worker drains its own deque from the back (LIFO keeps the
     /// footprint warm), then steals from the front of its peers' deques
-    /// in the machine's NUMA-near-first rotated order, then backs off —
+    /// in rotated ring order ([`steal_ring`]), then backs off —
     /// `SPIN_ROUNDS` yields, then exponential sleep capped at
     /// `MAX_PARK_US` — until every task has retired.
     ///
@@ -218,9 +197,9 @@ impl WavefrontPool {
             return Ok(());
         }
         if sweeps == 1 && self.scheduler == Scheduler::Levels {
-            let cols = bundle.csr.cols();
-            let checker = overlap::SweepChecker::levels(&bundle.rows, &bundle.cols);
-            let work = |s: &mut S, sweep, u: usize| work(s, sweep, cols[u]);
+            let cols = &bundle.cols;
+            let checker = overlap::SweepChecker::levels(&bundle.rows, cols);
+            let work = |s: &mut S, sweep, u: usize| work(s, sweep, cols[u] as usize);
             return self.drain(&bundle.level_graph(self.threads), checker, init, work, merge);
         }
         let graph = &bundle.graph;
@@ -279,8 +258,6 @@ impl WavefrontPool {
                 .unwrap()
                 .push_back(r);
         }
-        let steal_orders: Vec<Vec<usize>> =
-            (0..threads).map(|w| self.machine.steal_order(w, threads)).collect();
         let abort = AtomicBool::new(false);
         let panic_slot: Mutex<Option<PanicPayload>> = Mutex::new(None);
         let first_err: Mutex<Option<E>> = Mutex::new(None);
@@ -293,7 +270,6 @@ impl WavefrontPool {
         let init = &init;
         let work = &work;
         let checker = &checker;
-        let steal_orders = &steal_orders;
 
         let worker_loop = |w: usize| -> (S, WorkerStats) {
             let _tg = trace::install(self.obs.worker_tracer(w as u32));
@@ -315,9 +291,9 @@ impl WavefrontPool {
                     .or_else(|| deques[w].lock().unwrap().pop_back());
                 if node.is_none() {
                     // Steal from the front of a peer's deque (FIFO: take
-                    // the work its owner would reach last), nearest
-                    // peers first.
-                    for (dist, &other) in steal_orders[w].iter().enumerate() {
+                    // the work its owner would reach last), next peers
+                    // first.
+                    for (dist, other) in steal_ring(w, threads).enumerate() {
                         if let Some(t) = deques[other].lock().unwrap().pop_front() {
                             st.total.steals += 1;
                             st.total.steal_dist += dist as u64 + 1;
@@ -512,11 +488,11 @@ impl WavefrontPool {
 /// Runs the `scf.execute_wavefronts` schedule whose transport arrays
 /// are `(rows, cols)` `sweeps` times on `pool` — the bytecode engine's
 /// dispatch (the reference interpreter walks the levels itself, with no
-/// pool). The schedule bundle is recovered from the Arc identity of
-/// `cols` (minted by `cfd.get_parallel_blocks` via the schedule-bundle
-/// cache) and drained by [`WavefrontPool::try_drain`]. A `cols` the
-/// cache did not mint has no dependence graph: each sweep drains the
-/// level graph of `rows`, built for this call, and when a
+/// pool). `bundle` is the [`ScheduleBundle`] the `cfd.get_parallel_blocks`
+/// that produced `cols` computed, carried to here by the engine with the
+/// array; [`WavefrontPool::try_drain`] drains it. A `cols` with no bundle
+/// (a `tensor<?xi64>` argument) has no dependence graph: each sweep
+/// drains the level graph of `rows`, built for this call, and when a
 /// dependence-graph drain was asked for the obs event stream says so.
 ///
 /// # Errors
@@ -529,7 +505,8 @@ impl WavefrontPool {
 pub(crate) fn execute_wavefronts<S, E, I, W, M>(
     pool: &WavefrontPool,
     rows: &[i64],
-    cols: &Arc<Vec<i64>>,
+    cols: &[i64],
+    bundle: Option<&ScheduleBundle>,
     sweeps: usize,
     init: I,
     work: W,
@@ -542,8 +519,8 @@ where
     W: Fn(&mut S, usize) -> Result<(), E> + Sync,
     M: FnMut(S),
 {
-    if let Some(bundle) = dataflow::lookup_by_cols(cols) {
-        return pool.try_drain(&bundle, sweeps, init, |s, _, b| work(s, b), merge);
+    if let Some(bundle) = bundle {
+        return pool.try_drain(bundle, sweeps, init, |s, _, b| work(s, b), merge);
     }
     if sweeps > 1 || pool.scheduler() == Scheduler::Dataflow {
         let name = if sweeps > 1 {
@@ -551,7 +528,7 @@ where
         } else {
             "dataflow-fallback"
         };
-        pool.obs().event(name, "cols not from schedule cache");
+        pool.obs().event(name, "cols not from cfd.get_parallel_blocks");
     }
     assert_eq!(rows.last(), Some(&(cols.len() as i64)), "row_ptr must end at cols.len()");
     let graph = SweepGraph::build(Arc::new(TaskGraph::levels(rows, pool.threads())), 1);
@@ -566,14 +543,11 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use instencil_pattern::dataflow::schedule_bundle;
     use instencil_pattern::schedule::WavefrontSchedule;
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::Mutex;
 
     /// Drains the hand-written level CSR `levels` with a `usize` state
-    /// per worker. Its fresh `cols` is not one the schedule cache minted,
-    /// so this drains the level graph built from the rows. Returns the
+    /// per worker. It comes with no bundle, so this drains the level
+    /// graph built from the rows. Returns the
     /// outcome, the merged total and the number of merged states.
     fn drain_csr(
         threads: usize,
@@ -591,8 +565,8 @@ mod tests {
             total += count;
             merges += 1;
         };
-        let cols = Arc::new(levels.concat());
-        let outcome = execute_wavefronts(&pool, &rows, &cols, 1, || 0, work, merge);
+        let cols = levels.concat();
+        let outcome = execute_wavefronts(&pool, &rows, &cols, None, 1, || 0, work, merge);
         (outcome, total, merges)
     }
 
@@ -602,7 +576,7 @@ mod tests {
         // L + 1 may start before every block of level L has ended.
         let deps = vec![vec![-1, 0], vec![0, -1]];
         let sched = WavefrontSchedule::compute(&[5, 5], &deps);
-        let bundle = schedule_bundle(&[5, 5], &deps);
+        let bundle = ScheduleBundle::new(&[5, 5], &deps);
         for threads in [1usize, 2, 3] {
             let clock = AtomicUsize::new(1);
             let stamps: Vec<[AtomicUsize; 2]> = (0..25).map(|_| Default::default()).collect();
@@ -661,7 +635,7 @@ mod tests {
     #[test]
     fn executes_every_block_once() {
         // The default scheduler drains the minted level graph.
-        let bundle = schedule_bundle(&[4, 4], &[vec![-1i64, 0], vec![0, -1]]);
+        let bundle = ScheduleBundle::new(&[4, 4], &[vec![-1i64, 0], vec![0, -1]]);
         let count = AtomicUsize::new(0);
         let seen = Mutex::new(vec![false; 16]);
         let work = |(): &mut (), _, b: usize| {
@@ -719,7 +693,7 @@ mod tests {
     fn levels_record_one_level_per_wavefront_level_at_trace() {
         // 5x5 Gauss-Seidel: 9 anti-diagonal levels of widths 1..5..1.
         let obs = Obs::new(instencil_obs::ObsLevel::Trace);
-        let bundle = schedule_bundle(&[5, 5], &[vec![-1i64, 0], vec![0, -1]]);
+        let bundle = ScheduleBundle::new(&[5, 5], &[vec![-1i64, 0], vec![0, -1]]);
         WavefrontPool::with_opts(2, obs.clone(), Scheduler::Levels)
             .try_drain(&bundle, 1, || (), |(), _, _| Ok::<(), ()>(()), |()| {})
             .unwrap();
@@ -744,7 +718,7 @@ mod tests {
 
     #[test]
     fn dataflow_executes_every_block_once_and_respects_deps() {
-        let bundle = schedule_bundle(&[5, 5], &[vec![-1i64, 0], vec![0, -1]]);
+        let bundle = ScheduleBundle::new(&[5, 5], &[vec![-1i64, 0], vec![0, -1]]);
         for (threads, scheduler) in both(&[1, 2, 4, 8]) {
             let clock = AtomicUsize::new(0);
             let starts: Vec<AtomicUsize> = (0..25).map(|_| AtomicUsize::new(0)).collect();
@@ -778,7 +752,7 @@ mod tests {
 
     #[test]
     fn dataflow_merges_states_and_propagates_errors() {
-        let bundle = schedule_bundle(&[4, 2], &[vec![-1i64, 0]]);
+        let bundle = ScheduleBundle::new(&[4, 2], &[vec![-1i64, 0]]);
         for (threads, scheduler) in both(&[1, 2, 4]) {
             let mut total = 0usize;
             WavefrontPool::with_opts(threads, Obs::off(), scheduler)
@@ -815,7 +789,7 @@ mod tests {
 
     #[test]
     fn dataflow_propagates_worker_panics_with_payload() {
-        let bundle = schedule_bundle(&[3, 3], &[vec![-1i64, 0], vec![0, -1]]);
+        let bundle = ScheduleBundle::new(&[3, 3], &[vec![-1i64, 0], vec![0, -1]]);
         for (threads, scheduler) in both(&[1, 3]) {
             let err = std::panic::catch_unwind(AssertUnwindSafe(|| {
                 WavefrontPool::with_opts(threads, Obs::off(), scheduler)
@@ -842,7 +816,7 @@ mod tests {
     #[test]
     fn dataflow_empty_graph_is_a_no_op() {
         // A 1-block graph with no deps degenerates but must still run.
-        let bundle = schedule_bundle(&[1], &[]);
+        let bundle = ScheduleBundle::new(&[1], &[]);
         for (threads, scheduler) in both(&[4]) {
             let mut ran = 0usize;
             WavefrontPool::with_opts(threads, Obs::off(), scheduler)
@@ -860,13 +834,13 @@ mod tests {
 
     #[test]
     fn dataflow_fuses_chains_and_counts_blocks_not_tasks() {
-        // 6x6 grid at 4 threads under the default machine model:
+        // 6x6 grid at 4 threads:
         // grain = (36 / (4*4)).clamp(1, 6) = 2, row-clipped into 18
         // tasks of 2 blocks each. The `blocks` counters must keep
         // counting *blocks* and the fusion savings must be attributed
         // to `fused`.
         let obs = Obs::new(instencil_obs::ObsLevel::Trace);
-        let bundle = schedule_bundle(&[6, 6], &[vec![-1i64, 0], vec![0, -1]]);
+        let bundle = ScheduleBundle::new(&[6, 6], &[vec![-1i64, 0], vec![0, -1]]);
         let pool = WavefrontPool::with_opts(4, obs.clone(), Scheduler::Dataflow);
         assert_eq!(pool.grain_for(&bundle.graph), 2);
         let count = AtomicUsize::new(0);
@@ -896,7 +870,7 @@ mod tests {
     #[test]
     fn dataflow_records_steals_and_busy_at_trace() {
         let obs = Obs::new(instencil_obs::ObsLevel::Trace);
-        let bundle = schedule_bundle(&[6, 6], &[vec![-1i64, 0], vec![0, -1]]);
+        let bundle = ScheduleBundle::new(&[6, 6], &[vec![-1i64, 0], vec![0, -1]]);
         WavefrontPool::with_opts(4, obs.clone(), Scheduler::Dataflow)
             .try_drain(
                 &bundle,
@@ -930,5 +904,23 @@ mod tests {
             tasks.all(|e| e.sweep == 0),
             "eager task events carry sweep tag 0"
         );
+    }
+
+    #[test]
+    fn steal_ring_starts_after_the_thief() {
+        // The scan must start at w+1 and wrap, not start at 0.
+        assert_eq!(steal_ring(3, 8).collect::<Vec<_>>(), vec![4, 5, 6, 7, 0, 1, 2]);
+        assert_eq!(steal_ring(0, 4).collect::<Vec<_>>(), vec![1, 2, 3]);
+    }
+
+    #[test]
+    fn steal_ring_visits_every_peer_once() {
+        for threads in [2usize, 8, 22, 44] {
+            for w in 0..threads {
+                let mut seen: Vec<usize> = steal_ring(w, threads).collect();
+                seen.sort_unstable();
+                assert_eq!(seen, (0..threads).filter(|&p| p != w).collect::<Vec<_>>());
+            }
+        }
     }
 }

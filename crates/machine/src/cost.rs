@@ -14,7 +14,7 @@
 //!    barrier per level — the discrete-event part that produces the
 //!    NUMA/synchronization effects of Figs. 13 and 15.
 
-use instencil_pattern::dataflow::{BlockGraph, Scheduler};
+use instencil_pattern::dataflow::{dataflow_grain, BlockGraph, Scheduler};
 use instencil_pattern::{Offset, WavefrontSchedule};
 
 use crate::topology::Machine;
@@ -333,9 +333,9 @@ pub fn estimate_sweep_dataflow(m: &Machine, cfg: &RunConfig) -> TimeEstimate {
     let block_compute = block_points * compute_pp;
     let block_bytes = block_points * bytes_pp;
     // The executor fuses chains of `grain` consecutive blocks into one
-    // task (same [`Machine::dataflow_grain`] the pool uses), so the
+    // task (same [`dataflow_grain`] the pool uses), so the
     // deque/in-degree bookkeeping is paid once per task, not per block.
-    let grain = m.dataflow_grain(n, grid.last().copied().unwrap_or(1), threads);
+    let grain = dataflow_grain(n, grid.last().copied().unwrap_or(1), threads);
     let task_overhead = DATAFLOW_TASK_CYCLES * m.cycle_s() / grain as f64;
 
     // Critical-path depth of every block (= its wavefront level) and the
@@ -449,7 +449,7 @@ pub fn estimate_sweep_batched(m: &Machine, cfg: &RunConfig, sweeps: usize) -> Ti
         .collect();
     let graph = BlockGraph::build(&grid, &cfg.deps);
     let n = graph.num_blocks();
-    let grain = m.dataflow_grain(n, grid.last().copied().unwrap_or(1), cfg.threads.max(1));
+    let grain = dataflow_grain(n, grid.last().copied().unwrap_or(1), cfg.threads.max(1));
     // Cross-sweep edges per sweep boundary: one self edge per task plus
     // the transpose of the intra-sweep edge set (block counts divided by
     // the fusion grain approximate task counts).

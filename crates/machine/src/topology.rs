@@ -5,11 +5,11 @@
 //! 2.1 GHz, two AVX-512 units per core, 32 KB L1D and 1 MB L2 per core,
 //! 32 MB shared L3 per NUMA node.
 //!
-//! The host running this reproduction has a single core, so all
-//! thread-count sweeps are evaluated on this model (see DESIGN.md §2);
-//! the model consumes op mixes measured from the *actual* generated code
-//! and the *actual* wavefront schedules, so relative results derive from
-//! real compiled structure.
+//! The §4 thread-count sweeps (up to 44 threads, far beyond the host's
+//! cores) are evaluated on this model (see DESIGN.md §2); the model
+//! consumes op mixes measured from the *actual* generated code and the
+//! *actual* wavefront schedules, so relative results derive from real
+//! compiled structure. The executor does not consult it.
 
 /// A machine model: topology plus calibrated cost constants.
 #[derive(Clone, Debug)]
@@ -83,53 +83,7 @@ impl Machine {
     pub fn cycle_s(&self) -> f64 {
         1e-9 / self.freq_ghz
     }
-
-    /// NUMA node hosting worker `w` of a `threads`-wide pool. Workers
-    /// fill cores (and therefore nodes) in order, mirroring
-    /// `OMP_PLACES=cores` pinning — the same assumption [`numa_span`]
-    /// makes on the cost-model side.
-    ///
-    /// [`numa_span`]: Machine::numa_span
-    pub fn worker_node(&self, w: usize) -> usize {
-        (w / self.cores_per_numa()).min(self.numa_nodes - 1)
-    }
-
-    /// Peer scan order for an idle worker `w` of a `threads`-wide pool:
-    /// every peer exactly once, NUMA-near-first. Peers on nearer nodes
-    /// (by node-index distance, a proxy for socket hops) come first;
-    /// within one distance class the scan starts at `w + 1` and wraps,
-    /// so the `threads` workers spread their steal probes across
-    /// distinct victims instead of all hammering worker 0's deque.
-    pub fn steal_order(&self, w: usize, threads: usize) -> Vec<usize> {
-        let home = self.worker_node(w);
-        // Rotated ring first, then a stable sort by node distance:
-        // stability preserves the rotation inside each distance class.
-        let mut peers: Vec<usize> = (w + 1..threads).chain(0..w).collect();
-        peers.sort_by_key(|&p| self.worker_node(p).abs_diff(home));
-        peers
-    }
-
-    /// Coarsening grain for dataflow execution: how many consecutive
-    /// blocks of one innermost grid row fuse into a single scheduled
-    /// task. Small wavefront blocks individually cost less than their
-    /// scheduling (one atomic in-degree round plus deque traffic per
-    /// task, `DATAFLOW_TASK_CYCLES` on the model side); fusing a chain
-    /// amortizes that bookkeeping over real work. The grain is bounded
-    /// by availability — keep at least [`TASKS_PER_WORKER`] tasks per
-    /// worker so the pool can still balance load — and clipped to the
-    /// innermost row length `inner`, so a task never straddles two rows
-    /// of the forwarded recurrence.
-    ///
-    /// [`TASKS_PER_WORKER`]: crate::topology::TASKS_PER_WORKER
-    pub fn dataflow_grain(&self, n_blocks: usize, inner: usize, threads: usize) -> usize {
-        let availability = n_blocks / (threads.max(1) * TASKS_PER_WORKER);
-        availability.clamp(1, inner.max(1))
-    }
 }
-
-/// Load-balance slack the coarsener preserves: the grain never grows
-/// past the point where fewer than this many tasks per worker remain.
-pub const TASKS_PER_WORKER: usize = 4;
 
 /// The paper's dual-socket Xeon Gold 6152 (§4).
 ///
@@ -193,70 +147,5 @@ mod tests {
     fn cycle_time() {
         let m = xeon_6152_dual();
         assert!((m.cycle_s() - 1.0 / 2.1e9).abs() < 1e-18);
-    }
-
-    #[test]
-    fn worker_nodes_fill_in_order() {
-        let m = xeon_6152_dual();
-        assert_eq!(m.worker_node(0), 0);
-        assert_eq!(m.worker_node(10), 0);
-        assert_eq!(m.worker_node(11), 1);
-        assert_eq!(m.worker_node(43), 3);
-        // Out-of-model workers clamp to the last node.
-        assert_eq!(m.worker_node(99), 3);
-    }
-
-    #[test]
-    fn steal_order_is_a_rotated_numa_near_permutation() {
-        let m = xeon_6152_dual();
-        for threads in [2usize, 8, 22, 44] {
-            for w in 0..threads {
-                let order = m.steal_order(w, threads);
-                // Every peer exactly once, self excluded.
-                let mut seen = order.clone();
-                seen.sort_unstable();
-                assert_eq!(seen, (0..threads).filter(|&p| p != w).collect::<Vec<_>>());
-                // Node distances are non-decreasing along the scan.
-                let home = m.worker_node(w);
-                let dists: Vec<usize> =
-                    order.iter().map(|&p| m.worker_node(p).abs_diff(home)).collect();
-                assert!(dists.windows(2).all(|d| d[0] <= d[1]), "w={w} t={threads}");
-            }
-        }
-    }
-
-    #[test]
-    fn steal_order_rotates_within_a_node() {
-        // 8 workers all on node 0: the scan must start at w+1, not 0.
-        let m = xeon_6152_dual();
-        assert_eq!(m.steal_order(3, 8), vec![4, 5, 6, 7, 0, 1, 2]);
-        assert_eq!(m.steal_order(0, 4), vec![1, 2, 3]);
-    }
-
-    #[test]
-    fn steal_order_prefers_same_node_peers() {
-        // 22 workers span nodes 0 and 1; worker 15 (node 1) must scan
-        // all node-1 peers before any node-0 peer.
-        let m = xeon_6152_dual();
-        let order = m.steal_order(15, 22);
-        let first_far = order.iter().position(|&p| m.worker_node(p) != 1).unwrap();
-        assert!(order[..first_far].iter().all(|&p| m.worker_node(p) == 1));
-        assert_eq!(first_far, 10, "all 10 same-node peers come first");
-        assert_eq!(order[0], 16, "rotation starts just after the worker");
-    }
-
-    #[test]
-    fn dataflow_grain_amortizes_without_starving() {
-        let m = xeon_6152_dual();
-        // LU-SGS shape: 125 tiny blocks, rows of 5, 8 workers.
-        let g = m.dataflow_grain(125, 5, 8);
-        assert!(g > 1, "narrow wavefronts must coarsen");
-        assert!(125 / g >= 8 * TASKS_PER_WORKER, "workers keep balance slack");
-        // Never straddles a row, never exceeds availability.
-        assert_eq!(m.dataflow_grain(16_384, 128, 8), 128);
-        assert_eq!(m.dataflow_grain(4, 2, 8), 1);
-        // Degenerate inputs stay sane.
-        assert_eq!(m.dataflow_grain(0, 0, 0), 1);
-        assert_eq!(m.dataflow_grain(1, 1, 1), 1);
     }
 }

@@ -22,15 +22,14 @@
 //!   of the [`BlockGraph`] ([`TaskGraph::build`]), or the levels of a
 //!   wavefront CSR split into per-worker chunks and joined by one empty
 //!   task per barrier ([`TaskGraph::levels`]);
-//! * [`schedule_bundle`] — a process-wide cache pairing the wavefront CSR
-//!   (as handed to `cfd.execute_wavefronts`) with its [`BlockGraph`], so
-//!   engines can recover the graph at run time from the CSR arrays they
-//!   already transport ([`lookup_by_cols`]).
+//! * [`ScheduleBundle`] — the wavefront CSR `cfd.get_parallel_blocks`
+//!   hands to `cfd.execute_wavefronts`, with its [`BlockGraph`] and drain
+//!   graphs: a plain value the engine carries from one op to the other,
+//!   so which graph a drain gets depends only on its inputs;
+//! * [`dataflow_grain`] — how many blocks of a row fuse into one task.
 
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 
-use crate::csr::CsrWavefronts;
 use crate::offset::Offset;
 use crate::schedule::WavefrontSchedule;
 
@@ -602,16 +601,14 @@ impl SweepGraph {
 }
 
 /// Everything one `(grid, deps)` pair compiles to: the wavefront CSR in
-/// both its native and `i64` transport forms, plus the block dependence
-/// graph for dataflow execution. Computed once, shared via [`Arc`].
+/// its `i64` transport form, plus the block dependence graph for
+/// dataflow execution and the drain graphs memoized on it.
 #[derive(Debug)]
 pub struct ScheduleBundle {
     /// `row_ptr` of the level CSR as handed to `cfd.execute_wavefronts`.
     pub rows: Arc<Vec<i64>>,
     /// `cols` of the level CSR (block flat indices, level-major).
     pub cols: Arc<Vec<i64>>,
-    /// The level CSR itself.
-    pub csr: CsrWavefronts,
     /// The dependence graph the levels were derived from.
     pub graph: Arc<BlockGraph>,
     /// Coarsened task partitions, memoized per fusion grain (the grain
@@ -630,6 +627,26 @@ pub struct ScheduleBundle {
 type SweepGraphMemo = Vec<((usize, usize), Arc<SweepGraph>)>;
 
 impl ScheduleBundle {
+    /// Runs the Eq. (3) sweep and builds the block dependence graph of
+    /// `(grid, deps)`; the drain graphs are built on first use.
+    pub fn new(grid: &[usize], deps: &[Offset]) -> Self {
+        let csr = WavefrontSchedule::compute(grid, deps).into_wavefronts();
+        let widen = |xs: &[usize]| Arc::new(xs.iter().map(|&x| x as i64).collect());
+        ScheduleBundle {
+            rows: widen(csr.row_ptr()),
+            cols: widen(csr.cols()),
+            graph: Arc::new(BlockGraph::build(grid, deps)),
+            tasks: Mutex::default(),
+            sweep_graphs: Mutex::default(),
+            level_graphs: Mutex::default(),
+        }
+    }
+
+    /// Number of wavefront levels.
+    pub fn num_levels(&self) -> usize {
+        self.rows.len() - 1
+    }
+
     /// The coarsened task partition of [`Self::graph`] for `grain`,
     /// built on first use and memoized (solver iterations re-running
     /// `cfd.execute_wavefronts` hit the memo).
@@ -680,57 +697,20 @@ impl ScheduleBundle {
     }
 }
 
-/// Bound on cached `(grid, deps)` entries; on overflow the cache is
-/// cleared (sound: entries are plain derived data, recomputable).
-const CACHE_CAP: usize = 512;
+/// Load-balance slack the coarsener preserves: the grain never grows
+/// past the point where fewer than this many tasks per worker remain.
+pub const TASKS_PER_WORKER: usize = 4;
 
-type Cache = Mutex<HashMap<(Vec<usize>, Vec<Offset>), Arc<ScheduleBundle>>>;
-
-fn cache() -> &'static Cache {
-    static CACHE: OnceLock<Cache> = OnceLock::new();
-    CACHE.get_or_init(|| Mutex::new(HashMap::new()))
-}
-
-/// Computes (or returns the cached) schedule bundle for `(grid, deps)`.
-/// The Eq. (3) sweep and the graph build both run at most once per pair
-/// per process; solver iterations re-running `cfd.get_parallel_blocks`
-/// hit the cache.
-pub fn schedule_bundle(grid: &[usize], deps: &[Offset]) -> Arc<ScheduleBundle> {
-    let key = (grid.to_vec(), deps.to_vec());
-    let mut map = cache().lock().unwrap();
-    if let Some(hit) = map.get(&key) {
-        return Arc::clone(hit);
-    }
-    let csr = WavefrontSchedule::compute(grid, deps).into_wavefronts();
-    let rows: Vec<i64> = csr.row_ptr().iter().map(|&x| x as i64).collect();
-    let cols: Vec<i64> = csr.cols().iter().map(|&x| x as i64).collect();
-    let bundle = Arc::new(ScheduleBundle {
-        rows: Arc::new(rows),
-        cols: Arc::new(cols),
-        csr,
-        graph: Arc::new(BlockGraph::build(grid, deps)),
-        tasks: Mutex::new(Vec::new()),
-        sweep_graphs: Mutex::new(Vec::new()),
-        level_graphs: Mutex::new(Vec::new()),
-    });
-    if map.len() >= CACHE_CAP {
-        map.clear();
-    }
-    map.insert(key, Arc::clone(&bundle));
-    bundle
-}
-
-/// Recovers the bundle whose transport `cols` array *is* `cols` (Arc
-/// pointer identity, not content equality — two different dependence
-/// sets can produce identical level CSRs, so content matching would be
-/// unsound for recovering the graph). Returns `None` for CSR arrays
-/// that did not come from [`schedule_bundle`], or whose cache entry was
-/// evicted; callers must then fall back to level execution.
-pub fn lookup_by_cols(cols: &Arc<Vec<i64>>) -> Option<Arc<ScheduleBundle>> {
-    let map = cache().lock().unwrap();
-    map.values()
-        .find(|b| Arc::ptr_eq(&b.cols, cols))
-        .map(Arc::clone)
+/// Coarsening grain for dataflow execution: how many consecutive blocks
+/// of one innermost grid row fuse into one task, amortizing the per-task
+/// in-degree and deque traffic over real work. Bounded by availability
+/// (at least [`TASKS_PER_WORKER`] tasks per worker, so the pool can
+/// still balance load) and clipped to the row length `inner`, so a task
+/// never straddles two rows of the forwarded recurrence. The pool and
+/// the cost model both use it.
+pub fn dataflow_grain(n_blocks: usize, inner: usize, workers: usize) -> usize {
+    let availability = n_blocks / (workers.max(1) * TASKS_PER_WORKER);
+    availability.clamp(1, inner.max(1))
 }
 
 #[cfg(test)]
@@ -790,31 +770,15 @@ mod tests {
     }
 
     #[test]
-    fn bundle_is_cached_and_recoverable_by_cols_identity() {
-        let grid = [7usize, 6];
-        let deps = vec![vec![-1i64, 0], vec![0, -1]];
-        let a = schedule_bundle(&grid, &deps);
-        let b = schedule_bundle(&grid, &deps);
-        assert!(Arc::ptr_eq(&a, &b), "second call must hit the cache");
-        assert_eq!(a.csr.num_blocks(), 42);
-        assert_eq!(a.rows.len(), a.csr.num_levels() + 1);
-        assert_eq!(a.cols.len(), 42);
-
-        let hit = lookup_by_cols(&a.cols).expect("cols identity must resolve");
-        assert!(Arc::ptr_eq(&hit, &a));
-        // A content-equal but distinct allocation must NOT resolve.
-        let fake = Arc::new(a.cols.as_ref().clone());
-        assert!(lookup_by_cols(&fake).is_none());
-    }
-
-    #[test]
     fn bundle_csr_matches_direct_schedule() {
         let grid = [4usize, 4];
         let deps = vec![vec![-1i64, 0], vec![0, -1]];
-        let bundle = schedule_bundle(&grid, &deps);
+        let bundle = ScheduleBundle::new(&grid, &deps);
         let direct = WavefrontSchedule::compute(&grid, &deps).into_wavefronts();
-        assert_eq!(bundle.csr.row_ptr(), direct.row_ptr());
-        assert_eq!(bundle.csr.cols(), direct.cols());
+        let widen = |xs: &[usize]| xs.iter().map(|&x| x as i64).collect::<Vec<_>>();
+        let want = (widen(direct.row_ptr()), widen(direct.cols()));
+        assert_eq!((&*bundle.rows, &*bundle.cols), (&want.0, &want.1));
+        assert_eq!(bundle.num_levels(), direct.num_levels());
     }
 
     #[test]
@@ -948,7 +912,7 @@ mod tests {
     fn bundle_memoizes_sweep_graphs_per_grain_and_depth() {
         let grid = [5usize, 5];
         let deps = vec![vec![-1i64, 0], vec![0, -1]];
-        let bundle = schedule_bundle(&grid, &deps);
+        let bundle = ScheduleBundle::new(&grid, &deps);
         let a = bundle.sweep_graph(2, 4);
         let b = bundle.sweep_graph(2, 4);
         assert!(Arc::ptr_eq(&a, &b), "same (grain, k) must hit the memo");
@@ -994,12 +958,26 @@ mod tests {
     fn bundle_memoizes_task_graphs_per_grain() {
         let grid = [6usize, 6];
         let deps = vec![vec![-1i64, 0], vec![0, -1]];
-        let bundle = schedule_bundle(&grid, &deps);
+        let bundle = ScheduleBundle::new(&grid, &deps);
         let a = bundle.task_graph(3);
         let b = bundle.task_graph(3);
         assert!(Arc::ptr_eq(&a, &b), "same grain must hit the memo");
         let c = bundle.task_graph(2);
         assert_eq!(c.grain(), 2);
         assert_ne!(a.num_tasks(), c.num_tasks());
+    }
+
+    #[test]
+    fn dataflow_grain_amortizes_without_starving() {
+        // LU-SGS shape: 125 tiny blocks, rows of 5, 8 workers.
+        let g = dataflow_grain(125, 5, 8);
+        assert!(g > 1, "narrow wavefronts must coarsen");
+        assert!(125 / g >= 8 * TASKS_PER_WORKER, "workers keep balance slack");
+        // Never straddles a row, never exceeds availability.
+        assert_eq!(dataflow_grain(16_384, 128, 8), 128);
+        assert_eq!(dataflow_grain(4, 2, 8), 1);
+        // Degenerate inputs stay sane.
+        assert_eq!(dataflow_grain(0, 0, 0), 1);
+        assert_eq!(dataflow_grain(1, 1, 1), 1);
     }
 }

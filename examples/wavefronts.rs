@@ -7,7 +7,7 @@
 //! ```
 
 use instencil::pattern::blockdeps::block_dependences;
-use instencil::pattern::dataflow::schedule_bundle;
+use instencil::pattern::dataflow::ScheduleBundle;
 use instencil::pattern::{presets, WavefrontSchedule};
 use instencil::prelude::WavefrontPool;
 
@@ -48,10 +48,10 @@ fn main() {
     );
 
     // Execute with real threads, level by level: the pool drains the
-    // level graph of the cached schedule (one chunk per worker and
+    // level graph of the schedule bundle (one chunk per worker and
     // level, a join task as each barrier); each worker counts the blocks
     // it ran in private state, merged on the calling thread.
-    let bundle = schedule_bundle(&grid, &deps5);
+    let bundle = ScheduleBundle::new(&grid, &deps5);
     let mut executed = 0usize;
     let pool = WavefrontPool::new(4);
     pool.try_drain(

@@ -19,7 +19,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use instencil::exec::WavefrontPool;
 use instencil::obs::Obs;
-use instencil::pattern::dataflow::{schedule_bundle, BlockGraph, Scheduler};
+use instencil::pattern::dataflow::{BlockGraph, ScheduleBundle, Scheduler};
 use instencil::pattern::WavefrontSchedule;
 use instencil_testkit::{check_n, Rng};
 
@@ -59,7 +59,7 @@ fn sweep_batch_never_runs_a_block_before_its_cross_sweep_predecessors() {
         let deps = random_deps(rng, grid.len());
         let graph = BlockGraph::build(&grid, &deps);
         let n = graph.num_blocks();
-        let bundle = schedule_bundle(&grid, &deps);
+        let bundle = ScheduleBundle::new(&grid, &deps);
         for threads in [1usize, 2, 4, 8] {
             for sweeps in [2usize, 4] {
                 let total = n * sweeps;
@@ -139,7 +139,7 @@ fn dataflow_trace_never_runs_a_block_before_its_predecessors() {
         let deps = random_deps(rng, grid.len());
         let graph = BlockGraph::build(&grid, &deps);
         let n = graph.num_blocks();
-        let bundle = schedule_bundle(&grid, &deps);
+        let bundle = ScheduleBundle::new(&grid, &deps);
         let schedule = WavefrontSchedule::compute(&grid, &deps);
         for threads in [1usize, 2, 4, 8] {
             for scheduler in [Scheduler::Dataflow, Scheduler::Levels] {

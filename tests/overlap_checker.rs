@@ -21,10 +21,14 @@
 //!   the level graph, the eager dataflow drain and a batched two-sweep
 //!   drain.
 //!
-//! A variant takes the CSR as `tensor<?xi64>` arguments, content-equal
-//! copies of the cached ones: with no dependence graph to recover, both
-//! schedulers drain the level graph built from `rows` for the call, must
-//! match the interpreter bit for bit, and are checked the same way.
+//! When `cfd.get_parallel_blocks` computes the schedule, the bytecode
+//! engine carries its bundle with the `cols` register to the execute op:
+//! the eager dataflow drain must run the dependence graph (no
+//! `dataflow-fallback`) and a two-sweep batch one fused drain (no
+//! `sweep-batch-fallback`). A variant takes the CSR as `tensor<?xi64>`
+//! arguments instead, copies of a computed schedule: with no bundle,
+//! both schedulers drain the level graph built from `rows` for the call,
+//! must match the interpreter bit for bit, and are checked the same way.
 //!
 //! The checker lives in the bytecode engine's worker pool, which runs
 //! the same worker loop at one thread as at many; the sequential
@@ -37,7 +41,7 @@ use std::sync::Arc;
 use instencil::core::ops::build_get_parallel_blocks;
 use instencil::exec::ExecStats;
 use instencil::ir::{attr::AttrMap, OpCode};
-use instencil::pattern::dataflow::schedule_bundle;
+use instencil::pattern::dataflow::ScheduleBundle;
 use instencil::prelude::*;
 
 /// A lowered module with one `ExecuteWavefronts` op over two blocks on
@@ -46,7 +50,7 @@ use instencil::prelude::*;
 /// run in the same level. `deps` is the `block_stencil` payload over
 /// shape `[3]` (offset −1, 0, +1; `-1` marks a dependence); with `None`
 /// the level CSR comes in as two `tensor<?xi64>` arguments (`rows`,
-/// `cols`) instead, arrays the schedule cache did not mint.
+/// `cols`) instead, arrays that carry no schedule bundle.
 fn two_block_module(deps: Option<Vec<i8>>) -> Module {
     let mr = Type::memref_dyn(Type::F64, 1);
     let arr = Type::tensor(Type::I64, vec![None]);
@@ -87,8 +91,8 @@ fn two_block_module(deps: Option<Vec<i8>>) -> Module {
     m
 }
 
-/// Runs `two_block_module(None)` once, on content-equal copies of the CSR
-/// the schedule cache minted for a 2-block grid under `deps`: on the
+/// Runs `two_block_module(None)` once, on copies of the CSR of a 2-block
+/// grid under `deps`: on the
 /// interpreter (`pool == None`) or on `(threads, scheduler)` bytecode
 /// workers. Returns the buffer's bits, the statistics and whether
 /// `dataflow-fallback` fired.
@@ -97,7 +101,7 @@ fn run_csr_arguments(
     deps: &[Vec<i64>],
     pool: Option<(usize, Scheduler)>,
 ) -> (Vec<u64>, ExecStats, bool) {
-    let bundle = schedule_bundle(&[2], deps);
+    let bundle = ScheduleBundle::new(&[2], deps);
     let b = BufferView::alloc(&[4]);
     let copy = |a: &Arc<Vec<i64>>| RtVal::I64Arr(Arc::new(a.to_vec()));
     let args = vec![RtVal::Buf(b.clone()), copy(&bundle.rows), copy(&bundle.cols)];
@@ -150,14 +154,26 @@ fn run_bytecode(m: &Module) {
 
 /// The dataflow scheduler judges by reachability instead of levels: two
 /// blocks may write a common extent only if one is an ancestor of the
-/// other in the block dependence graph.
+/// other in the block dependence graph. The bundle must reach the
+/// execute op, or the drain would quietly fall back to the level graph.
 fn run_bytecode_dataflow(m: &Module) {
     let b = BufferView::alloc(&[4]);
-    BytecodeEngine::compile_with_threads(m, 2)
+    let obs = Obs::new(ObsLevel::Summary);
+    BytecodeEngine::compile_with_obs(m, 2, obs.clone())
         .expect("wavefront module compiles")
         .with_scheduler(Scheduler::Dataflow)
         .call("wf", vec![RtVal::Buf(b)])
         .expect("wavefront module runs");
+    let rec = obs.snapshot();
+    assert!(
+        rec.events.iter().all(|e| e.name != "dataflow-fallback"),
+        "the schedule bundle must reach the execute op"
+    );
+    assert!(!rec.wavefronts.is_empty(), "the drain is recorded");
+    assert!(
+        rec.wavefronts.iter().all(|w| w.scheduler == "dataflow"),
+        "the eager drain must run the dependence graph"
+    );
 }
 
 /// A batched drain of two sweeps, checked against the sweep-extended
