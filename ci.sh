@@ -47,8 +47,11 @@ cargo test $OFFLINE -q
 # the debug run above never executes: check engine equivalence there too.
 cargo test $OFFLINE -q --release --test engine_equiv
 
-echo "==> cargo clippy -D warnings"
+echo "==> cargo clippy -D warnings (+ warning-free rustdoc)"
 cargo clippy $OFFLINE --workspace --all-targets -- -D warnings
+# Intra-doc links to deleted or private names fail here instead of
+# rotting silently.
+RUSTDOCFLAGS="-D warnings" cargo doc $OFFLINE --no-deps --workspace
 
 echo "==> obs report smoke (Trace pipeline run, schema-validates the JSON; fused heat 3D rung check)"
 # The example fails if the emitted report does not validate against the

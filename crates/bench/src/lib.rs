@@ -6,10 +6,10 @@
 //! * [`figures`] — regenerates Tables 1–3, Figs. 8/11/12/13/15 and the
 //!   Jacobi comparison through the machine model;
 //! * `figures` binary — CLI entry (`cargo run -p instencil-bench --release
-//!   --bin figures -- all`);
-//! * Criterion benches measure the real, host-measurable components
-//!   (reference kernels, schedule computation, compilation, generated-code
-//!   interpretation).
+//!   --bin figures -- all`).
+//!
+//! Host timings come from the separate `benchmark/` workspace
+//! (`benchmark/run.sh`), not from this crate.
 
 pub mod cases;
 pub mod figures;

@@ -629,7 +629,7 @@ fn max_or_nan(a: f64, b: f64) -> f64 {
 }
 
 /// Debug-mode wavefront overlap checker — a lightweight race detector
-/// for the Eq. (3) disjointness guarantee the non-atomic [`TileView`]
+/// for the Eq. (3) disjointness guarantee the non-atomic `TileView`
 /// path relies on.
 ///
 /// Every graph drain of the wavefront pool runs under one

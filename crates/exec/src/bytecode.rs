@@ -4,9 +4,9 @@
 //! `Operation` structs, clones [`crate::value::RtVal`]s (a buffer operand
 //! clone is three heap allocations), and allocates per grid point. That
 //! makes it a fine *semantic oracle* and a terrible *clock*. This module
-//! is the clock: [`super::compile::compile_program`] translates each
+//! is the clock: `compile::compile_program` translates each
 //! function **once** into flat register-machine instruction tapes
-//! ([`Instr`]) with
+//! (`Instr`) with
 //!
 //! * pre-resolved register slots per SSA value (typed register files — no
 //!   `RtVal` boxing, no environment vector of `Option`s),
@@ -14,7 +14,7 @@
 //!   slot table; loads borrow the view instead of cloning it),
 //! * a reusable scalar/vector scratch file (vector registers are lane
 //!   ranges of one flat `f64` file — no `Vec<f64>` per vector op),
-//! * direct opcode dispatch over a closed [`Instr`] enum (no string
+//! * direct opcode dispatch over a closed `Instr` enum (no string
 //!   formatting, no attribute lookups on the hot path).
 //!
 //! Whole tiles and wavefront blocks are driven through the tapes by
@@ -651,32 +651,25 @@ impl BytecodeEngine {
         }
     }
 
-    /// Calls a compiled function by name.
+    /// Calls a compiled function by name: [`Self::call_sweeps`] at one
+    /// sweep.
     ///
     /// # Errors
     /// Fails when the function is missing, arity/kind mismatches, or a
     /// runtime check (division by zero, unset register) trips.
     pub fn call(&mut self, name: &str, args: Vec<RtVal>) -> Result<Vec<RtVal>, ExecError> {
-        let fi = self
-            .program
-            .lookup(name)
-            .ok_or_else(|| ExecError::new(format!("no function `{name}`")))?;
-        let mut stats = ExecStats::default();
-        let out = self.ctx().call(fi, args, &mut stats);
-        // Merge even on error so partially executed work is accounted.
-        self.stats.merge(&stats);
-        out
+        self.call_sweeps(name, args, 1)
     }
 
     /// Calls a compiled function `sweeps` times over the same arguments
     /// as one fused dataflow drain of the sweep-extended dependence
     /// graph, returning the last call's results. Semantically identical
-    /// to `sweeps` back-to-back [`Self::call`]s (buffers are updated in
-    /// place through the shared views; statistics match too), but block
-    /// `b` of sweep `s+1` starts as soon as its lex-forward neighborhood
-    /// of sweep `s` retires — the per-call fixed costs (frame setup,
-    /// pool construction, prefix re-execution, schedule lookup) are paid
-    /// once per batch instead of once per sweep.
+    /// to `sweeps` back-to-back calls (buffers are updated in place
+    /// through the shared views; statistics match too), but block `b` of
+    /// sweep `s+1` starts as soon as its lex-forward neighborhood of
+    /// sweep `s` retires — the per-call fixed costs (frame setup, pool
+    /// construction, prefix re-execution, schedule lookup) are paid once
+    /// per batch instead of once per sweep. One sweep is a plain call.
     ///
     /// Batching requires the entry tape to be a *pure prefix* (register
     /// arithmetic, views, `cfd.get_parallel_blocks`) ending in exactly
@@ -685,7 +678,8 @@ impl BytecodeEngine {
     /// eager drains and reports a `sweep-batch-fallback` obs event.
     ///
     /// # Errors
-    /// As [`Self::call`]; the first failing sweep aborts the batch.
+    /// As [`Self::call`], and for zero sweeps; the first failing sweep
+    /// aborts the batch.
     pub fn call_sweeps(
         &mut self,
         name: &str,
@@ -695,24 +689,22 @@ impl BytecodeEngine {
         if sweeps == 0 {
             return Err(ExecError::new("sweep batch needs at least one sweep"));
         }
-        if sweeps == 1 {
-            return self.call(name, args);
-        }
         let fi = self
             .program
             .lookup(name)
             .ok_or_else(|| ExecError::new(format!("no function `{name}`")))?;
-        if batchable_wavefronts(&self.program.funcs[fi]).is_none() {
+        let mut stats = ExecStats::default();
+        let out = if sweeps > 1 && batchable_wavefronts(&self.program.funcs[fi]).is_none() {
             self.obs
                 .event("sweep-batch-fallback", "entry tape is not a pure wavefront sweep");
-            let mut out = Vec::new();
-            for _ in 0..sweeps {
-                out = self.call(name, args.clone())?;
-            }
-            return Ok(out);
-        }
-        let mut stats = ExecStats::default();
-        let out = self.ctx().call_batched(fi, args, sweeps, &mut stats);
+            let ctx = self.ctx();
+            (1..sweeps)
+                .try_for_each(|_| ctx.call(fi, args.clone(), 1, &mut stats).map(drop))
+                .and_then(|()| ctx.call(fi, args, 1, &mut stats))
+        } else {
+            self.ctx().call(fi, args, sweeps, &mut stats)
+        };
+        // Merge even on error so partially executed work is accounted.
         self.stats.merge(&stats);
         out
     }
@@ -814,10 +806,17 @@ impl BcCtx<'_> {
         self.scratch.lock().unwrap().push(rs);
     }
 
+    /// Builds one frame for function `fi` and runs `sweeps` sweeps in
+    /// it. One sweep runs the entry tape. More sweeps need a tape that
+    /// [`batchable_wavefronts`] accepts (the caller checks): the pure
+    /// prefix runs once, its statistics merged `sweeps` times to match
+    /// what eager re-execution would count, and the trailing
+    /// `scf.execute_wavefronts` drains through the sweep-extended graph.
     fn call(
         &self,
         fi: usize,
         args: Vec<RtVal>,
+        sweeps: usize,
         stats: &mut ExecStats,
     ) -> Result<Vec<RtVal>, ExecError> {
         let func = &self.program.funcs[fi];
@@ -839,60 +838,21 @@ impl BcCtx<'_> {
         for ((kind, reg), val) in func.args.iter().zip(args) {
             regs.set_rtval(*reg, *kind, val)?;
         }
-        let run = self.run_tape(func, 0, &mut regs, stats);
-        self.retire(&mut regs);
-        run?;
-        func.tapes[0]
-            .term
-            .iter()
-            .zip(&func.results)
-            .map(|(&r, &k)| regs.get_rtval(r, k))
-            .collect()
-    }
-
-    /// One frame driving `sweeps` fused wavefront sweeps: runs the pure
-    /// prefix of the entry tape once (accounting its statistics `sweeps`
-    /// times, matching what eager re-execution would have counted), then
-    /// drains the trailing `scf.execute_wavefronts` through the
-    /// sweep-extended graph. The caller has verified the shape via
-    /// [`batchable_wavefronts`].
-    fn call_batched(
-        &self,
-        fi: usize,
-        args: Vec<RtVal>,
-        sweeps: usize,
-        stats: &mut ExecStats,
-    ) -> Result<Vec<RtVal>, ExecError> {
-        let func = &self.program.funcs[fi];
-        if args.len() != func.args.len() {
-            return Err(ExecError::new(format!(
-                "`{}` expects {} args, got {}",
-                func.name,
-                func.args.len(),
-                args.len()
-            )));
-        }
-        let (rows, cols, block, body) =
-            batchable_wavefronts(func).expect("caller checked batchability");
-        let _tracer = trace::install(self.pool.obs().worker_tracer(trace::DRIVER));
-        let mut regs = Regs::new(func);
-        self.checkout(&mut regs);
-        for ((kind, reg), val) in func.args.iter().zip(args) {
-            regs.set_rtval(*reg, *kind, val)?;
-        }
-        // The prefix is pure, so its single execution computes the same
-        // registers every eager call would have; its stats merge ×k so
-        // counters stay batching-invariant.
-        let mut prefix_stats = ExecStats::default();
-        let prefix_len = func.tapes[0].code.len() - 1;
-        let run = self
-            .run_tape_prefix(func, 0, prefix_len, &mut regs, &mut prefix_stats)
-            .and_then(|()| {
-                for _ in 0..sweeps {
-                    stats.merge(&prefix_stats);
-                }
-                self.exec_wavefronts(func, rows, cols, block, body, sweeps, &mut regs, stats)
-            });
+        let run = if sweeps == 1 {
+            self.run_tape(func, 0, &mut regs, stats)
+        } else {
+            let (rows, cols, block, body) =
+                batchable_wavefronts(func).expect("caller checked batchability");
+            let mut prefix_stats = ExecStats::default();
+            let prefix_len = func.tapes[0].code.len() - 1;
+            self.run_tape_prefix(func, 0, prefix_len, &mut regs, &mut prefix_stats)
+                .and_then(|()| {
+                    for _ in 0..sweeps {
+                        stats.merge(&prefix_stats);
+                    }
+                    self.exec_wavefronts(func, rows, cols, block, body, sweeps, &mut regs, stats)
+                })
+        };
         self.retire(&mut regs);
         run?;
         func.tapes[0]
@@ -1576,6 +1536,11 @@ mod tests {
             .call("f", vec![RtVal::F64(3.0), RtVal::F64(4.0)])
             .unwrap();
         assert_eq!(out[0].as_f64(), 25.0);
+        // One arity check serves the eager and the multi-sweep call.
+        let eager = eng.call("f", vec![RtVal::F64(3.0)]).unwrap_err();
+        let batched = eng.call_sweeps("f", vec![RtVal::F64(3.0)], 3).unwrap_err();
+        assert_eq!(eager.message, "`f` expects 2 args, got 1");
+        assert_eq!(batched.message, eager.message);
     }
 
     #[test]

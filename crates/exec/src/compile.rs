@@ -1,6 +1,6 @@
 //! IR → bytecode translation.
 //!
-//! [`compile_program`] walks every function of a lowered module once and
+//! `compile_program` walks every function of a lowered module once and
 //! emits the [`crate::bytecode`] instruction tapes the engine executes.
 //! Translation is a single pre-order pass over the (single-block,
 //! structured-control-flow) regions:
@@ -11,10 +11,10 @@
 //!   file, memrefs → buffer-slot table, `tensor<?xi64>` CSR schedules →
 //!   array-slot table) — dominance guarantees the defining instruction
 //!   runs before any use, so slots never need versioning;
-//! * each region block becomes one [`crate::bytecode::Tape`]; structured
+//! * each region block becomes one `crate::bytecode::Tape`; structured
 //!   control flow (`scf.for`/`scf.if`/`scf.parallel`/
 //!   `scf.execute_wavefronts`) compiles to instructions holding tape
-//!   indices plus explicit register [`crate::bytecode::Move`] lists for
+//!   indices plus explicit register `crate::bytecode::Move` lists for
 //!   loop-carried values and branch results;
 //! * attribute lookups (constants, `callee` symbols, `block_stencil`
 //!   dependence decoding, `dim`/`lane` numbers) all happen **here**, so

@@ -168,16 +168,13 @@ impl<'m> Runner<'m> {
         })
     }
 
-    /// Calls a function of the bound module by name.
+    /// Calls a function of the bound module by name: [`Self::call_sweeps`]
+    /// at one sweep.
     ///
     /// # Errors
     /// Propagates engine failures.
     pub fn call(&mut self, name: &str, args: Vec<RtVal>) -> Result<Vec<RtVal>, ExecError> {
-        let _span = self.obs.span("engine:execute");
-        match &mut self.inner {
-            RunnerInner::Interp { module, interp } => interp.call(module, name, args),
-            RunnerInner::Bytecode(engine) => engine.call(name, args),
-        }
+        self.call_sweeps(name, args, 1)
     }
 
     /// Calls a function `sweeps` times over the same arguments,
@@ -189,7 +186,8 @@ impl<'m> Runner<'m> {
     /// The interpreter has no batched path and loops eagerly.
     ///
     /// # Errors
-    /// Propagates engine failures; the first failing sweep aborts.
+    /// Propagates engine failures, and fails for zero sweeps; the first
+    /// failing sweep aborts.
     pub fn call_sweeps(
         &mut self,
         name: &str,
@@ -202,47 +200,12 @@ impl<'m> Runner<'m> {
                 if sweeps == 0 {
                     return Err(ExecError::new("sweep batch needs at least one sweep"));
                 }
-                let mut out = Vec::new();
-                for _ in 0..sweeps {
-                    out = interp.call(module, name, args.clone())?;
+                for _ in 1..sweeps {
+                    interp.call(module, name, args.clone())?;
                 }
-                Ok(out)
+                interp.call(module, name, args)
             }
             RunnerInner::Bytecode(engine) => engine.call_sweeps(name, args, sweeps),
-        }
-    }
-
-    /// Whether the bound engine can fuse queued sweeps into one drain
-    /// (bytecode yes, interpreter no). [`SweepBatch`] uses this to pick
-    /// its effective depth, so interpreter-bound modules keep exact
-    /// eager pacing (e.g. convergence checks after every sweep).
-    pub fn supports_sweep_batching(&self) -> bool {
-        matches!(self.inner, RunnerInner::Bytecode(_))
-    }
-
-    /// An OPS-style lazy sweep queue over this runner: [`SweepBatch::queue`]
-    /// records the intent to run one more identical in-place sweep and
-    /// flushes automatically once `depth` are pending; explicit
-    /// [`SweepBatch::flush`] drains the remainder (a batch boundary —
-    /// buffers are guaranteed up to date only after a flush). Depth
-    /// clamps to 1 on engines without a fused path.
-    pub fn sweep_batch<'r>(
-        &'r mut self,
-        func: &str,
-        args: Vec<RtVal>,
-        depth: usize,
-    ) -> SweepBatch<'r, 'm> {
-        let depth = if self.supports_sweep_batching() {
-            depth.max(1)
-        } else {
-            1
-        };
-        SweepBatch {
-            runner: self,
-            func: func.to_owned(),
-            args,
-            depth,
-            queued: 0,
         }
     }
 
@@ -316,92 +279,19 @@ impl<'m> Runner<'m> {
     }
 }
 
-/// Default lazy-queue depth used by the sweep-driving helpers: deep
+/// Sweeps per `call_sweeps` chunk in the sweep-driving helpers: deep
 /// enough to amortize the per-call fixed cost (dispatch, register file,
 /// prefix tape, schedule lookup) over a batch, shallow enough that
-/// convergence checks at batch boundaries overshoot the true stopping
+/// convergence checks at chunk boundaries overshoot the true stopping
 /// sweep by at most 7. Every batched sweep runs at this depth: the cost
-/// model computes a per-problem depth, but nothing applies it yet.
+/// model computes a per-problem depth (`machine::best_batch_depth`),
+/// but nothing applies it.
 pub const DEFAULT_SWEEP_BATCH: usize = 8;
-
-/// A lazy queue of identical in-place sweeps over one [`Runner`]
-/// (OPS-style lazy execution): [`SweepBatch::queue`] only records the
-/// intent to sweep; once `depth` sweeps are pending — or on an explicit
-/// [`SweepBatch::flush`] — the whole batch drains as one fused dataflow
-/// pass over the sweep-extended dependence graph. Buffers are
-/// guaranteed up to date only at batch boundaries (after a flush).
-/// Dropping a batch with sweeps still queued panics in debug builds;
-/// call [`SweepBatch::flush`] (or [`SweepBatch::finish`]) first.
-#[derive(Debug)]
-pub struct SweepBatch<'r, 'm> {
-    runner: &'r mut Runner<'m>,
-    func: String,
-    args: Vec<RtVal>,
-    depth: usize,
-    queued: usize,
-}
-
-impl SweepBatch<'_, '_> {
-    /// Queues one more sweep; drains automatically when the queue
-    /// reaches the batch depth.
-    ///
-    /// # Errors
-    /// Propagates engine failures from an automatic flush.
-    pub fn queue(&mut self) -> Result<(), ExecError> {
-        self.queued += 1;
-        if self.queued >= self.depth {
-            self.flush()?;
-        }
-        Ok(())
-    }
-
-    /// Drains every queued sweep as one fused batch (no-op when the
-    /// queue is empty). After this returns, the argument buffers hold
-    /// the state after all queued sweeps.
-    ///
-    /// # Errors
-    /// Propagates engine failures.
-    pub fn flush(&mut self) -> Result<(), ExecError> {
-        let k = std::mem::take(&mut self.queued);
-        if k > 0 {
-            self.runner.call_sweeps(&self.func, self.args.clone(), k)?;
-        }
-        Ok(())
-    }
-
-    /// Flushes and consumes the batch, releasing the runner borrow.
-    ///
-    /// # Errors
-    /// Propagates engine failures.
-    pub fn finish(mut self) -> Result<(), ExecError> {
-        self.flush()
-    }
-
-    /// Sweeps queued but not yet executed.
-    pub fn pending(&self) -> usize {
-        self.queued
-    }
-
-    /// The flush threshold this batch was built with (1 on engines
-    /// without a fused path).
-    pub fn depth(&self) -> usize {
-        self.depth
-    }
-}
-
-impl Drop for SweepBatch<'_, '_> {
-    fn drop(&mut self) {
-        debug_assert!(
-            self.queued == 0 || std::thread::panicking(),
-            "SweepBatch dropped with {} sweep(s) still queued; call flush()",
-            self.queued
-        );
-    }
-}
 
 /// Runs `func` of `module` for `iterations` sweeps over the given
 /// buffers (passed as memref arguments each sweep) on one thread of the
-/// default engine, batched [`DEFAULT_SWEEP_BATCH`] deep. Returns
+/// default engine, in [`Runner::call_sweeps`] chunks of
+/// [`DEFAULT_SWEEP_BATCH`]. Returns
 /// accumulated execution statistics. For other worker counts, engines or
 /// schedulers, drive a [`Runner`].
 ///
@@ -415,11 +305,10 @@ pub fn run_sweeps(
 ) -> Result<ExecStats, ExecError> {
     let mut runner = Runner::new(module, Engine::default(), 1)?;
     let args: Vec<RtVal> = buffers.iter().cloned().map(RtVal::Buf).collect();
-    let mut batch = runner.sweep_batch(func, args, DEFAULT_SWEEP_BATCH);
-    for _ in 0..iterations {
-        batch.queue()?;
+    for start in (0..iterations).step_by(DEFAULT_SWEEP_BATCH) {
+        let k = DEFAULT_SWEEP_BATCH.min(iterations - start);
+        runner.call_sweeps(func, args.clone(), k)?;
     }
-    batch.finish()?;
     Ok(runner.stats())
 }
 
@@ -459,9 +348,9 @@ pub fn run_jacobi_sweeps(
 /// consecutive sweeps; stops when it drops below `tol`. Returns the
 /// number of sweeps executed (capped at `max_sweeps`).
 ///
-/// On the bytecode engine, sweeps drain through a [`SweepBatch`] of
-/// depth [`DEFAULT_SWEEP_BATCH`] and convergence is checked only at
-/// batch boundaries — the residual fold
+/// On the bytecode engine, sweeps drain in [`Runner::call_sweeps`]
+/// chunks of [`DEFAULT_SWEEP_BATCH`] and convergence is checked only at
+/// chunk boundaries — the residual fold
 /// ([`BufferView::max_delta_update`]) is fused into one pass over the
 /// watched buffer per batch, so the returned count may overshoot the
 /// true stopping sweep by up to `depth − 1` sweeps (extra Gauss-Seidel
@@ -481,7 +370,7 @@ pub fn run_until_converged(
     max_sweeps: usize,
 ) -> Result<usize, ExecError> {
     let mut runner = Runner::new(module, Engine::default(), 1)?;
-    let depth = if runner.supports_sweep_batching() {
+    let depth = if runner.engine() == Engine::Bytecode {
         DEFAULT_SWEEP_BATCH
     } else {
         1
@@ -554,12 +443,24 @@ mod tests {
     #[test]
     fn reference_modules_fall_back_to_interp() {
         let m = reference_module(&kernels::gauss_seidel_5pt_module()).unwrap();
-        let runner = Runner::new(&m, Engine::Bytecode, 1).unwrap();
+        let mut runner = Runner::new(&m, Engine::Bytecode, 1).unwrap();
         assert_eq!(
             runner.engine(),
             Engine::Interp,
             "structured cfd ops must fall back to the tree-walker"
         );
+        assert_zero_sweeps_err(&mut runner);
+    }
+
+    /// `call_sweeps(…, 0)` is an error on either engine, and runs nothing.
+    fn assert_zero_sweeps_err(runner: &mut Runner<'_>) {
+        let args = vec![
+            RtVal::Buf(BufferView::alloc(&[1, 6, 6])),
+            RtVal::Buf(BufferView::alloc(&[1, 6, 6])),
+        ];
+        let e = runner.call_sweeps("gs5", args, 0).unwrap_err();
+        assert!(e.message.contains("needs at least one sweep"), "{e}");
+        assert_eq!(runner.stats(), ExecStats::default());
     }
 
     #[test]
@@ -570,8 +471,9 @@ mod tests {
             &PipelineOptions::new(vec![4, 4], vec![2, 2]),
         )
         .unwrap();
-        let runner = Runner::new(&c.module, Engine::Bytecode, 1).unwrap();
+        let mut runner = Runner::new(&c.module, Engine::Bytecode, 1).unwrap();
         assert_eq!(runner.engine(), Engine::Bytecode);
+        assert_zero_sweeps_err(&mut runner);
     }
 
     #[test]
@@ -682,36 +584,6 @@ mod tests {
         assert_eq!(wl.to_vec(), wd.to_vec(), "bit-identical across schedulers");
         assert_eq!(stats_l, stats_d, "scheduler-invariant statistics");
         assert!(stats_d.wavefront_levels > 0);
-    }
-
-    #[test]
-    fn sweep_batch_is_lazy_and_flushes_at_depth() {
-        use instencil_core::pipeline::{compile, PipelineOptions};
-        let c = compile(
-            &kernels::gauss_seidel_5pt_module(),
-            &PipelineOptions::new(vec![4, 4], vec![2, 2]),
-        )
-        .unwrap();
-        let w = BufferView::alloc(&[1, 12, 12]);
-        w.store(&[0, 5, 5], 3.0);
-        let b = BufferView::alloc(&[1, 12, 12]);
-        let mut runner = Runner::new(&c.module, Engine::Bytecode, 1).unwrap();
-        assert!(runner.supports_sweep_batching());
-        let args = vec![RtVal::Buf(w.clone()), RtVal::Buf(b)];
-        let before = w.to_vec();
-        let mut batch = runner.sweep_batch("gs5", args, 3);
-        assert_eq!(batch.depth(), 3);
-        batch.queue().unwrap();
-        batch.queue().unwrap();
-        // Two queued, depth 3: nothing has executed yet.
-        assert_eq!(batch.pending(), 2);
-        assert_eq!(w.to_vec(), before, "queueing must not touch buffers");
-        batch.queue().unwrap(); // third sweep reaches depth → auto-flush
-        assert_eq!(batch.pending(), 0);
-        assert_ne!(w.to_vec(), before, "flush runs the queued sweeps");
-        batch.queue().unwrap();
-        batch.finish().unwrap(); // remainder of 1 drains explicitly
-        assert_eq!(runner.stats().reference_ops, 0);
     }
 
     #[test]

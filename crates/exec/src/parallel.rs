@@ -158,7 +158,7 @@ impl WavefrontPool {
     /// `(t, s) → (t', s+1)` while the stripe is still cache-resident. An
     /// idle worker drains its own deque from the back (LIFO keeps the
     /// footprint warm), then steals from the front of its peers' deques
-    /// in rotated ring order ([`steal_ring`]), then backs off —
+    /// in rotated ring order (`steal_ring`), then backs off —
     /// `SPIN_ROUNDS` yields, then exponential sleep capped at
     /// `MAX_PARK_US` — until every task has retired.
     ///

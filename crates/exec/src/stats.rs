@@ -98,7 +98,7 @@ impl ExecStats {
     }
 
     /// Serializes every counter plus derived ratios (assuming
-    /// [`REPORT_VF`]-lane vectors) for the `exec_stats` section of a
+    /// `REPORT_VF`-lane vectors) for the `exec_stats` section of a
     /// run report.
     pub fn to_json(&self) -> Json {
         // Exhaustive destructure: adding a counter without reporting it

@@ -13,7 +13,7 @@ use instencil_obs::{AutotuneCandidate, AutotuneTrace, Obs};
 use instencil_pattern::tiling::{candidate_tile_sizes, clamp_tile_sizes};
 use instencil_pattern::{blockdeps, Scheduler, StencilPattern};
 
-use crate::cost::{best_batch_depth, estimate_sweep, estimate_sweep_dataflow, RunConfig};
+use crate::cost::{estimate_sweep, estimate_sweep_dataflow, RunConfig};
 use crate::topology::Machine;
 
 /// The autotuner found no legal candidate: every enumerated tile was
@@ -61,13 +61,6 @@ pub struct TunedTiles {
     /// dataflow model (when more than one thread is available) and the
     /// cheaper one wins alongside the tile sizes.
     pub scheduler: Scheduler,
-    /// Sweep-batch depth for multi-sweep drains at the winning geometry
-    /// (1 = eager): the argmin of
-    /// [`estimate_sweep_batched`](crate::cost::estimate_sweep_batched)
-    /// over power-of-two depths up to 8 — deep when the working set is
-    /// L2-resident and dispatch amortization wins, 1 when cross-sweep
-    /// edge bookkeeping outweighs it.
-    pub batch: usize,
 }
 
 /// Scores one candidate configuration under every scheduler the thread
@@ -221,10 +214,6 @@ pub fn autotune_traced(
                     time_s: t,
                     evaluated,
                     scheduler,
-                    // Filled in for the winner after the search: the
-                    // batch depth is a property of the winning geometry
-                    // only, so scoring it per candidate would be waste.
-                    batch: 1,
                 });
                 best_record = Some(table.len().saturating_sub(1));
             }
@@ -251,14 +240,6 @@ pub fn autotune_traced(
     match best {
         Some(mut b) => {
             b.evaluated = evaluated;
-            let mut cfg = proto.clone();
-            cfg.threads = threads;
-            cfg.tile = b.tile.clone();
-            cfg.subdomain = b.subdomain.clone();
-            if let Ok(deps) = blockdeps::block_dependences(pattern, &b.subdomain) {
-                cfg.deps = deps;
-            }
-            b.batch = best_batch_depth(m, &cfg, 8);
             Ok(b)
         }
         None => Err(AutotuneError {
@@ -313,7 +294,6 @@ pub fn autotune_or_fallback_traced(
                 time_s: estimate_sweep(m, &cfg).total_s,
                 evaluated: 0,
                 scheduler: Scheduler::Levels,
-                batch: best_batch_depth(m, &cfg, 8),
                 tile,
                 subdomain,
             }

@@ -226,32 +226,22 @@ pub fn estimate_sweep(m: &Machine, cfg: &RunConfig) -> TimeEstimate {
     let mut compute_s = 0.0;
     let mut memory_s = 0.0;
     let mut sync_s = 0.0;
-    let threads = cfg.threads.max(1) as f64;
-    for level in schedule.wavefronts().levels() {
-        let width = level.len() as f64;
-        let rounds = (width / threads).ceil();
-        let level_compute = rounds * block_points * compute_pp;
-        let level_bytes = width * block_points * bytes_pp;
-        let level_memory = level_bytes / bw;
-        // Roofline per level: compute and memory overlap.
-        let level_time = level_compute.max(level_memory);
-        compute_s += level_compute;
-        memory_s += level_memory;
-        sync_s += m.barrier_cost(cfg.threads);
-        // Accumulate into total via the max law, stored in compute/memory
-        // components for reporting.
-        let _ = level_time;
-    }
-    // The level-by-level max: recompute totals properly.
     let mut total = 0.0;
+    let threads = cfg.threads.max(1) as f64;
+    let barrier = m.barrier_cost(cfg.threads);
     for level in schedule.wavefronts().levels() {
         let width = level.len() as f64;
         let rounds = (width / threads).ceil();
         let level_compute = rounds * block_points * compute_pp;
         let level_memory = width * block_points * bytes_pp / bw;
-        total += level_compute.max(level_memory) + m.barrier_cost(cfg.threads);
+        compute_s += level_compute;
+        memory_s += level_memory;
+        sync_s += barrier;
+        // Roofline per level: compute and memory overlap, so the level
+        // costs the larger of the two plus its barrier.
+        total += level_compute.max(level_memory) + barrier;
     }
-    total += cfg.extra_barriers * m.barrier_cost(cfg.threads);
+    total += cfg.extra_barriers * barrier;
 
     TimeEstimate {
         compute_s,
@@ -290,7 +280,7 @@ impl Ord for Time {
 /// scheduling: a greedy list-scheduling replay of the block dependence
 /// graph on `cfg.threads` workers. Each block costs its roofline time
 /// (compute vs its bandwidth share) plus a small per-task overhead
-/// ([`DATAFLOW_TASK_CYCLES`]); there are no per-level barriers — a block
+/// (`DATAFLOW_TASK_CYCLES`); there are no per-level barriers — a block
 /// starts as soon as its predecessors finish and a worker is free. This
 /// is the `cycles_dataflow` capacity estimate the autotuner weighs
 /// against [`estimate_sweep`].
@@ -428,10 +418,10 @@ const L2_STREAM_SPEEDUP: f64 = 4.0;
 /// in-place sweeps are drained as one batch through the sweep-extended
 /// dependence graph (`sweeps == 1` is an eager sweep, including its
 /// per-call dispatch overhead). Batching amortizes the fixed dispatch
-/// cost ([`SWEEP_DISPATCH_CYCLES`]) across the batch and — when the
+/// cost (`SWEEP_DISPATCH_CYCLES`) across the batch and — when the
 /// whole working set is L2-resident — serves sweeps after the first
 /// from cache, but pays cross-sweep edge bookkeeping
-/// ([`CROSS_EDGE_CYCLES`] × (tasks + transposed intra edges)) on every
+/// (`CROSS_EDGE_CYCLES` × (tasks + transposed intra edges)) on every
 /// later sweep. The argmin over depths is [`best_batch_depth`].
 ///
 /// # Panics

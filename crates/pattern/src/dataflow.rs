@@ -45,7 +45,7 @@ pub enum Scheduler {
     /// Point-to-point execution of the block dependence graph: each
     /// block runs as soon as its own predecessors finish, on the
     /// work-stealing workers of one `thread::scope` per execute op.
-    /// Bit-identical to [`Levels`] (enforced by `tests/engine_equiv.rs`);
+    /// Bit-identical to [`Scheduler::Levels`] (enforced by `tests/engine_equiv.rs`);
     /// only wall-clock changes.
     Dataflow,
 }

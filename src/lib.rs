@@ -61,8 +61,7 @@ pub mod prelude {
     pub use instencil_core::pipeline::{compile, reference_module, Engine, PipelineOptions};
     pub use instencil_exec::buffer::BufferView;
     pub use instencil_exec::driver::{
-        run_jacobi_sweeps, run_sweeps, run_until_converged, SweepBatch,
-        DEFAULT_SWEEP_BATCH,
+        run_jacobi_sweeps, run_sweeps, run_until_converged, DEFAULT_SWEEP_BATCH,
     };
     pub use instencil_exec::{BytecodeEngine, Interpreter, RtVal, Runner, WavefrontPool};
     pub use instencil_obs::{Obs, ObsLevel, RunReport};

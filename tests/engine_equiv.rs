@@ -141,29 +141,46 @@ fn check_all_engines(
 /// every chunk is a plain `Runner::call`) and with depths 2 and 4
 /// (fused drains over the sweep-extended graph), asserting bit- and
 /// counter-identity across both schedulers and every thread count.
-/// `mk_bufs` builds a fresh deterministic buffer set per run.
+/// `mk_bufs` builds a fresh deterministic buffer set per run. A
+/// multi-sweep call of a non-`batchable` entry tape loops eagerly and
+/// reports exactly one `sweep-batch-fallback` event; a batchable one
+/// reports none.
 fn check_batched_matches_eager(
     module: &Module,
     func: &str,
     mk_bufs: &dyn Fn() -> Vec<BufferView>,
     total: usize,
+    batchable: bool,
     what: &str,
 ) {
     for threads in THREAD_COUNTS {
         for scheduler in SCHEDULERS {
             let run = |batch: usize| {
                 let bufs = mk_bufs();
+                let obs = Obs::new(ObsLevel::Summary);
                 let mut runner =
-                    Runner::with_opts(module, Engine::Bytecode, threads, scheduler, Obs::off())
+                    Runner::with_opts(module, Engine::Bytecode, threads, scheduler, obs.clone())
                         .unwrap();
-                assert!(runner.supports_sweep_batching(), "{what}: lowered module");
+                assert_eq!(runner.engine(), Engine::Bytecode, "{what}: lowered module");
                 let args: Vec<RtVal> = bufs.iter().cloned().map(RtVal::Buf).collect();
-                let mut done = 0usize;
+                let (mut done, mut multi_sweep_calls) = (0usize, 0usize);
                 while done < total {
                     let k = batch.min(total - done);
                     runner.call_sweeps(func, args.clone(), k).unwrap();
                     done += k;
+                    multi_sweep_calls += usize::from(k > 1);
                 }
+                let fallbacks = obs
+                    .snapshot()
+                    .events
+                    .iter()
+                    .filter(|e| e.name == "sweep-batch-fallback")
+                    .count();
+                let expected = if batchable { 0 } else { multi_sweep_calls };
+                assert_eq!(
+                    fallbacks, expected,
+                    "{what} k={batch}: sweep-batch-fallback events"
+                );
                 (bufs[0].to_vec(), runner.stats())
             };
             let (expect, stats_eager) = run(1);
@@ -194,6 +211,7 @@ fn sor_batched_sweeps_match_eager() {
         "sor",
         &|| vec![seeded(&shape), seeded(&shape)],
         4,
+        true,
         "sor tr2",
     );
 }
@@ -209,6 +227,7 @@ fn gs5_batched_sweeps_match_eager() {
         "gs5",
         &|| vec![seeded(&shape), seeded(&shape)],
         4,
+        true,
         "gs5 tr4",
     );
 }
@@ -235,6 +254,7 @@ fn lusgs_batched_sweeps_match_eager() {
             vec![w, dw, b]
         },
         4,
+        false,
         "lusgs",
     );
 }
