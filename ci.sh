@@ -53,6 +53,16 @@ cargo clippy $OFFLINE --workspace --all-targets -- -D warnings
 # rotting silently.
 RUSTDOCFLAGS="-D warnings" cargo doc $OFFLINE --no-deps --workspace
 
+echo "==> modelled figures (figures all reproduces results/fig*.csv byte for byte)"
+# The machine model and the op mixes it is fed are deterministic, so the
+# committed CSVs are a checked output. A change that means to move a
+# modelled figure regenerates them with
+#   cargo run --release -p instencil-bench --bin figures -- all --out results
+figs=$(mktemp -d)
+cargo run $OFFLINE --release -q -p instencil-bench --bin figures -- all --out "$figs" >/dev/null
+for f in "$figs"/*.csv; do cmp "$f" "results/$(basename "$f")"; done
+rm -rf "$figs"
+
 echo "==> obs report smoke (Trace pipeline run, schema-validates the JSON; fused heat 3D rung check)"
 # The example fails if the emitted report does not validate against the
 # current report schema version, so this doubles as the schema gate.

@@ -184,10 +184,9 @@ pub fn gs5_wavefront_tiled_sweep(w: &mut Field, b: &Field, tile: usize) {
     let deps = vec![vec![-1i64, 0], vec![0, -1]];
     let schedule =
         instencil_pattern::WavefrontSchedule::compute(&[nb1 as usize, nb2 as usize], &deps);
-    for level in schedule.wavefronts().levels() {
+    for level in schedule.levels() {
         for &flat in level {
-            let bi = (flat / nb2 as usize) as i64;
-            let bj = (flat % nb2 as usize) as i64;
+            let (bi, bj) = (flat / nb2, flat % nb2);
             let ilo = 1 + bi * t;
             let ihi = (ilo + t).min(n1 - 1);
             let jlo = 1 + bj * t;

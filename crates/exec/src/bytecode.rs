@@ -1104,7 +1104,8 @@ impl BcCtx<'_> {
                     span.note("blocks", grid.iter().product::<usize>() as i64);
                     drop(span);
                     stats.schedules_computed += 1;
-                    let (r, c) = (Arc::clone(&bundle.rows), Arc::clone(&bundle.cols));
+                    let levels = &bundle.wavefronts;
+                    let (r, c) = (Arc::clone(levels.rows()), Arc::clone(levels.cols()));
                     regs.a[*rows as usize] = Some(Arr { data: r, sched: None });
                     regs.a[*cols as usize] = Some(Arr { data: c, sched: Some(bundle) });
                 }

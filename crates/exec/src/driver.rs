@@ -358,9 +358,10 @@ pub fn run_jacobi_sweeps(
 /// stationary). Interpreter-bound modules keep exact per-sweep pacing.
 ///
 /// # Errors
-/// Propagates engine failures, and reports divergence: a NaN in the
-/// watched buffer (or in its delta, e.g. `inf − inf`) at a convergence
-/// check is an error, never "converged".
+/// Returns an error if `watch` names no buffer of `buffers`. Propagates
+/// engine failures, and reports divergence: a NaN in the watched buffer
+/// (or in its delta, e.g. `inf − inf`) at a convergence check is an
+/// error, never "converged".
 pub fn run_until_converged(
     module: &Module,
     func: &str,
@@ -369,6 +370,12 @@ pub fn run_until_converged(
     tol: f64,
     max_sweeps: usize,
 ) -> Result<usize, ExecError> {
+    if watch >= buffers.len() {
+        return Err(ExecError::new(format!(
+            "`{func}`: watched buffer {watch} out of range for {} buffers",
+            buffers.len()
+        )));
+    }
     let mut runner = Runner::new(module, Engine::default(), 1)?;
     let depth = if runner.engine() == Engine::Bytecode {
         DEFAULT_SWEEP_BATCH
@@ -489,7 +496,14 @@ mod tests {
             }
         }
         let b = BufferView::alloc(&[1, 10, 10]);
-        let sweeps = run_until_converged(&m, "gs5", &[w.clone(), b], 0, 1e-9, 5_000).unwrap();
+        let buffers = [w.clone(), b];
+        // A watch index naming no buffer is an error, not a panic.
+        for (bufs, watch) in [(&buffers[..], 2), (&[][..], 0)] {
+            let err = run_until_converged(&m, "gs5", bufs, watch, 1e-9, 5_000).unwrap_err();
+            let want = format!("watched buffer {watch} out of range for {} buffers", bufs.len());
+            assert!(err.to_string().contains(&want), "{err}");
+        }
+        let sweeps = run_until_converged(&m, "gs5", &buffers, 0, 1e-9, 5_000).unwrap();
         assert!(sweeps < 5_000, "must converge");
         assert!((w.load(&[0, 5, 5]) - 1.0).abs() < 1e-6);
     }

@@ -439,11 +439,10 @@ impl ExecCtx<'_> {
                 let deps = blockdeps::from_block_stencil(shape, data);
                 // The reference walks the levels itself: the CSR is all
                 // it needs, no dependence graph.
-                let csr = WavefrontSchedule::compute(&grid, &deps).into_wavefronts();
-                let widen = |xs: &[usize]| Arc::new(xs.iter().map(|&x| x as i64).collect());
+                let levels = WavefrontSchedule::compute(&grid, &deps);
                 stats.schedules_computed += 1;
-                env[op.results[0].index()] = Some(RtVal::I64Arr(widen(csr.row_ptr())));
-                env[op.results[1].index()] = Some(RtVal::I64Arr(widen(csr.cols())));
+                env[op.results[0].index()] = Some(RtVal::I64Arr(Arc::clone(levels.rows())));
+                env[op.results[1].index()] = Some(RtVal::I64Arr(Arc::clone(levels.cols())));
             }
             OpCode::Call => {
                 let callee = op

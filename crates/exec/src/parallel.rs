@@ -197,8 +197,8 @@ impl WavefrontPool {
             return Ok(());
         }
         if sweeps == 1 && self.scheduler == Scheduler::Levels {
-            let cols = &bundle.cols;
-            let checker = overlap::SweepChecker::levels(&bundle.rows, cols);
+            let cols = bundle.wavefronts.cols();
+            let checker = overlap::SweepChecker::levels(bundle.wavefronts.rows(), cols);
             let work = |s: &mut S, sweep, u: usize| work(s, sweep, cols[u] as usize);
             return self.drain(&bundle.level_graph(self.threads), checker, init, work, merge);
         }
@@ -543,7 +543,6 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use instencil_pattern::schedule::WavefrontSchedule;
 
     /// Drains the hand-written level CSR `levels` with a `usize` state
     /// per worker. It comes with no bundle, so this drains the level
@@ -575,8 +574,13 @@ mod tests {
         // Start/end stamps from one logical clock: no block of level
         // L + 1 may start before every block of level L has ended.
         let deps = vec![vec![-1, 0], vec![0, -1]];
-        let sched = WavefrontSchedule::compute(&[5, 5], &deps);
         let bundle = ScheduleBundle::new(&[5, 5], &deps);
+        let mut level = [0; 25];
+        for (l, row) in bundle.wavefronts.levels().enumerate() {
+            for &b in row {
+                level[b as usize] = l;
+            }
+        }
         for threads in [1usize, 2, 3] {
             let clock = AtomicUsize::new(1);
             let stamps: Vec<[AtomicUsize; 2]> = (0..25).map(|_| Default::default()).collect();
@@ -587,7 +591,7 @@ mod tests {
             };
             WavefrontPool::new(threads).try_drain(&bundle, 1, || (), work, |()| {}).unwrap();
             for (a, b) in (0..25).flat_map(|a| (0..25).map(move |b| (a, b))) {
-                if sched.level_of_flat(a) < sched.level_of_flat(b) {
+                if level[a] < level[b] {
                     let end = stamps[a][1].load(Ordering::SeqCst);
                     let start = stamps[b][0].load(Ordering::SeqCst);
                     assert!(end < start, "threads={threads}: {b} started before {a} ended");

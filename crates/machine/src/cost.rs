@@ -229,7 +229,7 @@ pub fn estimate_sweep(m: &Machine, cfg: &RunConfig) -> TimeEstimate {
     let mut total = 0.0;
     let threads = cfg.threads.max(1) as f64;
     let barrier = m.barrier_cost(cfg.threads);
-    for level in schedule.wavefronts().levels() {
+    for level in schedule.levels() {
         let width = level.len() as f64;
         let rounds = (width / threads).ceil();
         let level_compute = rounds * block_points * compute_pp;

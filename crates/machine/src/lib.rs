@@ -2,7 +2,7 @@
 //! reproduction.
 //!
 //! The paper's evaluation runs on a dual-socket 44-core Xeon 6152; this
-//! reproduction's host has a single core, so every thread-count sweep
+//! reproduction's host has two cores, so every thread-count sweep
 //! (Figs. 11–13 and 15) is produced by the model in this crate (see
 //! DESIGN.md §2 for the substitution argument):
 //!

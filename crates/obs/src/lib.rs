@@ -116,10 +116,10 @@ pub struct WorkerRecord {
     /// under the levels scheduler, whose shards are static).
     pub steals: u64,
     /// Total steal distance: the sum, over this worker's steals, of the
-    /// victim's 1-based position in the thief's NUMA-near-first scan
-    /// order. `steal_dist / steals` near 1 means steals stayed on
-    /// adjacent workers (same NUMA node under the machine model);
-    /// larger ratios mean work crossed the topology.
+    /// victim's 1-based position in the thief's scan ring (worker `w`
+    /// scans `w + 1, w + 2, …` wrapping). `steal_dist / steals` near 1
+    /// means thieves found work at their ring neighbour; larger ratios
+    /// mean they scanned past idle peers first.
     pub steal_dist: u64,
     /// Blocks this worker executed as a coarsened chain mate — i.e.
     /// `blocks` minus the number of scheduled tasks. 0 when the fusion

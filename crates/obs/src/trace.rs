@@ -64,8 +64,8 @@ pub enum TraceKind {
     /// blocks executed). Duration event.
     Task,
     /// A successful steal from another worker's deque. `a` = victim
-    /// worker, `b` = the victim's 1-based position in the thief's
-    /// NUMA-near-first scan order. Instant event.
+    /// worker, `b` = the victim's 1-based position in the thief's scan
+    /// ring (worker `w` scans `w + 1, w + 2, …` wrapping). Instant event.
     Steal,
     /// A backoff sleep after the spin budget was exhausted with no
     /// runnable work. `a` = consecutive idle rounds so far. Duration

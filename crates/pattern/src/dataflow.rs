@@ -31,7 +31,7 @@
 use std::sync::{Arc, Mutex};
 
 use crate::offset::Offset;
-use crate::schedule::WavefrontSchedule;
+use crate::schedule::{self, WavefrontSchedule};
 
 /// Which graph an eager `cfd.execute_wavefronts` drains. Batched drains
 /// (`k > 1` sweeps) always run the sweep-extended dependence graph.
@@ -91,71 +91,49 @@ impl BlockGraph {
     /// Panics if `grid` is empty, any extent is zero, the total block
     /// count exceeds `u32::MAX`, or a dependence rank mismatches.
     pub fn build(grid: &[usize], deps: &[Offset]) -> Self {
-        assert!(!grid.is_empty(), "grid must have rank >= 1");
-        assert!(grid.iter().all(|&n| n > 0), "grid extents must be positive");
-        for d in deps {
-            assert_eq!(d.len(), grid.len(), "dependence rank mismatch");
-        }
+        Self::build_with_theta(grid, deps).0
+    }
+
+    /// The graph and the Eq. (3) θ of every block, from one walk of the
+    /// grid.
+    pub(crate) fn build_with_theta(grid: &[usize], deps: &[Offset]) -> (Self, Vec<u32>) {
         let n: usize = grid.iter().product();
-        assert!(n <= u32::MAX as usize, "block count exceeds u32 range");
-
-        // Edges run pred -> block for each in-bounds `block + r`. Two
-        // counting passes build both CSR directions without sorting; the
-        // outer loop visits blocks in ascending flat order, so each
-        // successor (and predecessor) list comes out ascending.
-        let mut coord = vec![0i64; grid.len()];
-        let mut preds_of = |flat: usize, visit: &mut dyn FnMut(usize)| {
-            let mut rem = flat;
-            for d in (0..grid.len()).rev() {
-                coord[d] = (rem % grid[d]) as i64;
-                rem /= grid[d];
-            }
-            'dep: for r in deps {
-                let mut src = 0usize;
-                for d in 0..grid.len() {
-                    let c = coord[d] + r[d];
-                    if c < 0 || c >= grid[d] as i64 {
-                        continue 'dep;
-                    }
-                    src = src * grid[d] + c as usize;
-                }
-                visit(src);
-            }
-        };
-
-        let mut out_deg = vec![0usize; n];
-        let mut in_deg = vec![0usize; n];
-        for (b, deg) in in_deg.iter_mut().enumerate() {
-            preds_of(b, &mut |p| {
-                out_deg[p] += 1;
-                *deg += 1;
-            });
-        }
-        let mut succ_ptr = vec![0usize; n + 1];
+        // The walk visits blocks in ascending flat order, so appending
+        // each block's predecessors builds the predecessor CSR.
         let mut pred_ptr = vec![0usize; n + 1];
+        let mut pred = Vec::with_capacity(n * deps.len());
+        let theta = schedule::walk(grid, deps, |p, b| {
+            pred_ptr[b + 1] += 1;
+            pred.push(p as u32);
+        });
         for b in 0..n {
-            succ_ptr[b + 1] = succ_ptr[b] + out_deg[b];
-            pred_ptr[b + 1] = pred_ptr[b] + in_deg[b];
+            pred_ptr[b + 1] += pred_ptr[b];
         }
-        let mut succ = vec![0u32; succ_ptr[n]];
-        let mut pred = vec![0u32; pred_ptr[n]];
-        let mut succ_fill = succ_ptr.clone();
-        let mut pred_fill = pred_ptr.clone();
+        // Transposing in ascending block order fills each successor list
+        // ascending.
+        let mut succ_ptr = vec![0usize; n + 1];
+        for &p in &pred {
+            succ_ptr[p as usize + 1] += 1;
+        }
         for b in 0..n {
-            preds_of(b, &mut |p| {
-                succ[succ_fill[p]] = b as u32;
-                succ_fill[p] += 1;
-                pred[pred_fill[b]] = p as u32;
-                pred_fill[b] += 1;
-            });
+            succ_ptr[b + 1] += succ_ptr[b];
         }
-        BlockGraph {
+        let mut succ = vec![0u32; pred.len()];
+        let mut fill = succ_ptr.clone();
+        for b in 0..n {
+            for &p in &pred[pred_ptr[b]..pred_ptr[b + 1]] {
+                succ[fill[p as usize]] = b as u32;
+                fill[p as usize] += 1;
+            }
+        }
+        let graph = BlockGraph {
             grid: grid.to_vec(),
             succ_ptr,
             succ,
             pred_ptr,
             pred,
-        }
+        };
+        (graph, theta)
     }
 
     /// The sub-domain grid extents.
@@ -605,10 +583,8 @@ impl SweepGraph {
 /// dataflow execution and the drain graphs memoized on it.
 #[derive(Debug)]
 pub struct ScheduleBundle {
-    /// `row_ptr` of the level CSR as handed to `cfd.execute_wavefronts`.
-    pub rows: Arc<Vec<i64>>,
-    /// `cols` of the level CSR (block flat indices, level-major).
-    pub cols: Arc<Vec<i64>>,
+    /// The level CSR as handed to `cfd.execute_wavefronts`.
+    pub wavefronts: WavefrontSchedule,
     /// The dependence graph the levels were derived from.
     pub graph: Arc<BlockGraph>,
     /// Coarsened task partitions, memoized per fusion grain (the grain
@@ -627,15 +603,14 @@ pub struct ScheduleBundle {
 type SweepGraphMemo = Vec<((usize, usize), Arc<SweepGraph>)>;
 
 impl ScheduleBundle {
-    /// Runs the Eq. (3) sweep and builds the block dependence graph of
-    /// `(grid, deps)`; the drain graphs are built on first use.
+    /// Builds the block dependence graph of `(grid, deps)` and its Eq. (3)
+    /// levels in one walk of the grid; the drain graphs are built on
+    /// first use.
     pub fn new(grid: &[usize], deps: &[Offset]) -> Self {
-        let csr = WavefrontSchedule::compute(grid, deps).into_wavefronts();
-        let widen = |xs: &[usize]| Arc::new(xs.iter().map(|&x| x as i64).collect());
+        let (graph, theta) = BlockGraph::build_with_theta(grid, deps);
         ScheduleBundle {
-            rows: widen(csr.row_ptr()),
-            cols: widen(csr.cols()),
-            graph: Arc::new(BlockGraph::build(grid, deps)),
+            wavefronts: WavefrontSchedule::from_theta(&theta),
+            graph: Arc::new(graph),
             tasks: Mutex::default(),
             sweep_graphs: Mutex::default(),
             level_graphs: Mutex::default(),
@@ -644,7 +619,7 @@ impl ScheduleBundle {
 
     /// Number of wavefront levels.
     pub fn num_levels(&self) -> usize {
-        self.rows.len() - 1
+        self.wavefronts.num_levels()
     }
 
     /// The coarsened task partition of [`Self::graph`] for `grain`,
@@ -682,7 +657,7 @@ impl ScheduleBundle {
         built
     }
 
-    /// The one-sweep drain of [`Self::rows`]' level graph for `workers`
+    /// The one-sweep drain of [`Self::wavefronts`]' level graph for `workers`
     /// workers ([`TaskGraph::levels`]), built on first use and memoized
     /// per worker count like [`Self::sweep_graph`].
     pub fn level_graph(&self, workers: usize) -> Arc<SweepGraph> {
@@ -690,7 +665,7 @@ impl ScheduleBundle {
         if let Some((_, hit)) = memo.iter().find(|(w, _)| *w == workers) {
             return Arc::clone(hit);
         }
-        let tasks = Arc::new(TaskGraph::levels(&self.rows, workers));
+        let tasks = Arc::new(TaskGraph::levels(self.wavefronts.rows(), workers));
         let built = Arc::new(SweepGraph::build(tasks, 1));
         memo.push((workers, Arc::clone(&built)));
         built
@@ -754,11 +729,17 @@ mod tests {
         let deps = [vec![-1, 0], vec![0, -1]];
         let g = BlockGraph::build(&grid, &deps);
         let s = WavefrontSchedule::compute(&grid, &deps);
+        let mut level = [0; 20];
+        for (l, row) in s.levels().enumerate() {
+            for &b in row {
+                level[b as usize] = l;
+            }
+        }
         for b in 0..g.num_blocks() {
             for &p in g.predecessors(b) {
-                assert!(s.level_of_flat(p as usize) < s.level_of_flat(b));
+                assert!(level[p as usize] < level[b]);
             }
-            assert_eq!(g.in_degree(b) == 0, s.level_of_flat(b) == 0);
+            assert_eq!(g.in_degree(b) == 0, level[b] == 0);
         }
     }
 
@@ -774,11 +755,8 @@ mod tests {
         let grid = [4usize, 4];
         let deps = vec![vec![-1i64, 0], vec![0, -1]];
         let bundle = ScheduleBundle::new(&grid, &deps);
-        let direct = WavefrontSchedule::compute(&grid, &deps).into_wavefronts();
-        let widen = |xs: &[usize]| xs.iter().map(|&x| x as i64).collect::<Vec<_>>();
-        let want = (widen(direct.row_ptr()), widen(direct.cols()));
-        assert_eq!((&*bundle.rows, &*bundle.cols), (&want.0, &want.1));
-        assert_eq!(bundle.num_levels(), direct.num_levels());
+        assert_eq!(bundle.wavefronts, WavefrontSchedule::compute(&grid, &deps));
+        assert_eq!(bundle.num_levels(), 7);
     }
 
     #[test]

@@ -18,8 +18,12 @@
 //! * [`blockdeps`] — derivation of sub-domain-level dependences from the
 //!   element-level pattern (§2.3, Fig. 1);
 //! * [`schedule`] — the longest-path wavefront schedule of Eq. (3),
-//!   produced in compressed sparse row form ([`CsrWavefronts`]) exactly as
-//!   consumed by `cfd.get_parallel_blocks` (§3.4).
+//!   produced in compressed sparse row form ([`WavefrontSchedule`]) exactly
+//!   as `cfd.get_parallel_blocks` hands it to `cfd.execute_wavefronts`
+//!   (§3.4);
+//! * [`dataflow`] — the block dependence graph behind those levels, built
+//!   in the same single pass over the grid ([`ScheduleBundle`]), and the
+//!   drain graphs the wavefront pool executes.
 //!
 //! # Example
 //!
@@ -35,9 +39,7 @@
 //! assert_eq!(sched.num_levels(), 7);
 //! ```
 
-pub mod affine;
 pub mod blockdeps;
-pub mod csr;
 pub mod dataflow;
 pub mod offset;
 pub mod pattern;
@@ -45,8 +47,6 @@ pub mod presets;
 pub mod schedule;
 pub mod tiling;
 
-pub use affine::{optimal_affine, AffineSchedule};
-pub use csr::CsrWavefronts;
 pub use dataflow::{BlockGraph, ScheduleBundle, Scheduler};
 pub use offset::{lex_compare, LexOrder, Offset};
 pub use pattern::{PatternError, StencilPattern, Sweep};

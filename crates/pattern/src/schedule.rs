@@ -11,11 +11,81 @@
 //! computed in lexicographic order of `s` (dependences point backward, so a
 //! single sweep suffices). The complexity is `O(n_blocks × |deps|)`,
 //! computed once and reused across all solver iterations (paper §2.3).
+//!
+//! That sweep is `walk`: the one pass over the block grid that every
+//! schedule and every [`BlockGraph`](crate::BlockGraph) is built from.
+//! Its levels are handed over as compressed sparse rows, exactly as
+//! `cfd.get_parallel_blocks` produces them (§3.4): `rows` delimits the
+//! levels, `cols` holds the linearized sub-domain indices of each level.
+//! All sub-domains of one level are mutually independent; levels run in
+//! order.
 
-use crate::csr::CsrWavefronts;
+use std::sync::Arc;
+
 use crate::offset::Offset;
 
-/// A computed wavefront schedule over a grid of sub-domains.
+/// Walks the block grid once in ascending flat (row-major) order and
+/// returns θ of every block. For each block `b` and each in-grid
+/// `p = b + r`, `r` in `deps` order, it calls `edge(p, b)` and sets
+/// `θ[b] = max θ[p] + 1`. Every `r` is lexicographically negative, so
+/// `p < b` and flat order is a topological order.
+///
+/// # Panics
+/// Panics if `grid` is empty, any extent is zero, a dependence offset
+/// rank differs from the grid rank, or the block count exceeds
+/// `u32::MAX`.
+pub(crate) fn walk(
+    grid: &[usize],
+    deps: &[Offset],
+    mut edge: impl FnMut(usize, usize),
+) -> Vec<u32> {
+    assert!(!grid.is_empty(), "grid must have rank >= 1");
+    assert!(grid.iter().all(|&n| n > 0), "grid extents must be positive");
+    for d in deps {
+        assert_eq!(d.len(), grid.len(), "dependence rank mismatch");
+    }
+    let n: usize = grid.iter().product();
+    assert!(n <= u32::MAX as usize, "block count exceeds u32 range");
+    // The flat displacement of each offset: an in-grid `b + r` is
+    // `b + shift`.
+    let shifts: Vec<isize> = deps
+        .iter()
+        .map(|r| {
+            r.iter()
+                .zip(grid)
+                .fold(0, |acc, (&c, &e)| acc * e as isize + c as isize)
+        })
+        .collect();
+    let mut theta = vec![0u32; n];
+    // The coordinates of block `b`, advanced as an odometer.
+    let mut coord = vec![0usize; grid.len()];
+    for b in 0..n {
+        let mut level = 0;
+        'dep: for (r, &shift) in deps.iter().zip(&shifts) {
+            for ((&c, &r), &e) in coord.iter().zip(r).zip(grid) {
+                if !(0..e as i64).contains(&(c as i64 + r)) {
+                    continue 'dep;
+                }
+            }
+            let p = b.wrapping_add_signed(shift);
+            edge(p, b);
+            level = level.max(theta[p] + 1);
+        }
+        theta[b] = level;
+        for (c, &e) in coord.iter_mut().zip(grid).rev() {
+            *c += 1;
+            if *c < e {
+                break;
+            }
+            *c = 0;
+        }
+    }
+    theta
+}
+
+/// A computed wavefront schedule: the Eq. (3) levels in the `i64` CSR
+/// form `cfd.get_parallel_blocks` hands to `cfd.execute_wavefronts`.
+/// Within a level, blocks are in ascending flat order.
 ///
 /// # Example
 /// ```
@@ -23,141 +93,96 @@ use crate::offset::Offset;
 /// // 3x3 grid, Gauss-Seidel-like deps: anti-diagonal wavefronts.
 /// let s = WavefrontSchedule::compute(&[3, 3], &[vec![-1, 0], vec![0, -1]]);
 /// assert_eq!(s.num_levels(), 5);
-/// assert_eq!(s.level_of(&[0, 0]), 0);
-/// assert_eq!(s.level_of(&[2, 2]), 4);
+/// assert_eq!(s.level(0), &[0]);
+/// assert_eq!(s.level(2), &[2, 4, 6]);
+/// assert_eq!(s.level(4), &[8]);
+/// assert_eq!(s.max_parallelism(), 3);
 /// ```
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct WavefrontSchedule {
-    grid: Vec<usize>,
-    /// θ value per linearized sub-domain.
-    theta: Vec<usize>,
-    wavefronts: CsrWavefronts,
+    /// Level `l` is `cols[rows[l]..rows[l + 1]]`.
+    rows: Arc<Vec<i64>>,
+    /// Block flat indices, level-major.
+    cols: Arc<Vec<i64>>,
 }
 
 impl WavefrontSchedule {
     /// Computes the Eq. (3) schedule.
     ///
     /// # Panics
-    /// Panics if `grid` is empty, any extent is zero, or a dependence
-    /// offset rank differs from the grid rank.
+    /// Panics if `grid` is empty, any extent is zero, a dependence offset
+    /// rank differs from the grid rank, or the block count exceeds
+    /// `u32::MAX`.
     pub fn compute(grid: &[usize], deps: &[Offset]) -> Self {
-        assert!(!grid.is_empty(), "grid must have rank >= 1");
-        assert!(grid.iter().all(|&n| n > 0), "grid extents must be positive");
-        for d in deps {
-            assert_eq!(d.len(), grid.len(), "dependence rank mismatch");
-        }
-        let n: usize = grid.iter().product();
-        let mut theta = vec![0usize; n];
-        let mut coord = vec![0i64; grid.len()];
-        for flat in 0..n {
-            // Decode lexicographic coordinates of `flat`.
-            let mut rem = flat;
-            for d in (0..grid.len()).rev() {
-                coord[d] = (rem % grid[d]) as i64;
-                rem /= grid[d];
-            }
-            let mut level = 0usize;
-            'dep: for r in deps {
-                let mut src_flat = 0usize;
-                for d in 0..grid.len() {
-                    let c = coord[d] + r[d];
-                    if c < 0 || c >= grid[d] as i64 {
-                        continue 'dep;
-                    }
-                    src_flat = src_flat * grid[d] + c as usize;
-                }
-                level = level.max(theta[src_flat] + 1);
-            }
-            theta[flat] = level;
-        }
-        let num_levels = theta.iter().max().map_or(0, |m| m + 1);
-        let mut rows: Vec<Vec<usize>> = vec![Vec::new(); num_levels];
-        for (flat, &t) in theta.iter().enumerate() {
-            rows[t].push(flat);
-        }
-        WavefrontSchedule {
-            grid: grid.to_vec(),
-            theta,
-            wavefronts: CsrWavefronts::from_rows(rows),
-        }
+        Self::from_theta(&walk(grid, deps, |_, _| {}))
     }
 
-    /// The sub-domain grid extents.
-    pub fn grid(&self) -> &[usize] {
-        &self.grid
+    /// Groups blocks by θ with a counting sort, ascending flat order
+    /// within a level.
+    pub(crate) fn from_theta(theta: &[u32]) -> Self {
+        let num_levels = theta.iter().max().map_or(0, |&m| m as usize + 1);
+        let mut rows = vec![0i64; num_levels + 1];
+        for &t in theta {
+            rows[t as usize + 1] += 1;
+        }
+        for l in 0..num_levels {
+            rows[l + 1] += rows[l];
+        }
+        let mut fill = rows[..num_levels].to_vec();
+        let mut cols = vec![0i64; theta.len()];
+        for (b, &t) in theta.iter().enumerate() {
+            let slot = &mut fill[t as usize];
+            cols[*slot as usize] = b as i64;
+            *slot += 1;
+        }
+        WavefrontSchedule {
+            rows: Arc::new(rows),
+            cols: Arc::new(cols),
+        }
     }
 
     /// Number of wavefront levels (the schedule latency + 1).
     pub fn num_levels(&self) -> usize {
-        self.wavefronts.num_levels()
+        self.rows.len() - 1
     }
 
-    /// θ of a sub-domain given by multi-index.
+    /// Total number of scheduled sub-domains.
+    pub fn num_blocks(&self) -> usize {
+        self.cols.len()
+    }
+
+    /// The linearized sub-domain indices of one level.
     ///
     /// # Panics
-    /// Panics if the coordinate is out of the grid.
-    pub fn level_of(&self, coord: &[usize]) -> usize {
-        self.theta[self.linearize(coord)]
+    /// Panics if `level >= num_levels()`.
+    pub fn level(&self, level: usize) -> &[i64] {
+        &self.cols[self.rows[level] as usize..self.rows[level + 1] as usize]
     }
 
-    /// θ of a linearized sub-domain.
-    pub fn level_of_flat(&self, flat: usize) -> usize {
-        self.theta[flat]
+    /// Iterates over levels.
+    pub fn levels(&self) -> impl Iterator<Item = &[i64]> {
+        (0..self.num_levels()).map(|l| self.level(l))
     }
 
-    /// Linearizes a multi-index (row-major, matching `cfd.tiled_loop`).
-    pub fn linearize(&self, coord: &[usize]) -> usize {
-        assert_eq!(coord.len(), self.grid.len());
-        let mut flat = 0usize;
-        for (c, n) in coord.iter().zip(self.grid.iter()) {
-            assert!(c < n, "coordinate {c} out of extent {n}");
-            flat = flat * n + c;
-        }
-        flat
+    /// Widest level (the peak amount of parallelism available).
+    pub fn max_parallelism(&self) -> usize {
+        self.levels().map(<[_]>::len).max().unwrap_or(0)
     }
 
-    /// Decodes a linearized index into grid coordinates.
-    pub fn delinearize(&self, mut flat: usize) -> Vec<usize> {
-        let mut coord = vec![0usize; self.grid.len()];
-        for d in (0..self.grid.len()).rev() {
-            coord[d] = flat % self.grid[d];
-            flat /= self.grid[d];
-        }
-        coord
+    /// The CSR row pointer, shared with the engines.
+    pub fn rows(&self) -> &Arc<Vec<i64>> {
+        &self.rows
     }
 
-    /// The CSR wavefront encoding consumed by `cfd.tiled_loop`.
-    pub fn wavefronts(&self) -> &CsrWavefronts {
-        &self.wavefronts
+    /// The CSR columns (block flat indices), shared with the engines.
+    pub fn cols(&self) -> &Arc<Vec<i64>> {
+        &self.cols
     }
 
-    /// Consumes the schedule, returning the CSR wavefronts.
-    pub fn into_wavefronts(self) -> CsrWavefronts {
-        self.wavefronts
-    }
-
-    /// Checks that the schedule respects every dependence: for each block
-    /// `s` and dep `r`, `θ(s + r) < θ(s)` whenever `s + r` is in the grid.
-    /// Used by tests and the verifier of `cfd.get_parallel_blocks`.
-    pub fn validate(&self, deps: &[Offset]) -> bool {
-        let n: usize = self.grid.iter().product();
-        for flat in 0..n {
-            let coord = self.delinearize(flat);
-            'dep: for r in deps {
-                let mut src = vec![0usize; coord.len()];
-                for d in 0..coord.len() {
-                    let c = coord[d] as i64 + r[d];
-                    if c < 0 || c >= self.grid[d] as i64 {
-                        continue 'dep;
-                    }
-                    src[d] = c as usize;
-                }
-                if self.level_of(&src) >= self.theta[flat] {
-                    return false;
-                }
-            }
-        }
-        true
+    /// Returns `self`. Kept only because the benchmark harness
+    /// (`benchmark/src/probe.rs`) calls `compute(..).into_wavefronts()`.
+    pub fn into_wavefronts(self) -> Self {
+        self
     }
 }
 
@@ -165,12 +190,23 @@ impl WavefrontSchedule {
 mod tests {
     use super::*;
 
+    /// θ of every block, recovered from the CSR.
+    fn theta(s: &WavefrontSchedule) -> Vec<usize> {
+        let mut theta = vec![usize::MAX; s.num_blocks()];
+        for (l, level) in s.levels().enumerate() {
+            for &b in level {
+                theta[b as usize] = l;
+            }
+        }
+        theta
+    }
+
     #[test]
     fn empty_deps_single_level() {
         let s = WavefrontSchedule::compute(&[4, 4], &[]);
         assert_eq!(s.num_levels(), 1);
-        assert_eq!(s.wavefronts().level(0).len(), 16);
-        assert_eq!(s.wavefronts().max_parallelism(), 16);
+        assert_eq!(s.level(0).len(), 16);
+        assert_eq!(s.max_parallelism(), 16);
     }
 
     #[test]
@@ -178,12 +214,12 @@ mod tests {
         let s = WavefrontSchedule::compute(&[4, 6], &[vec![-1, 0], vec![0, -1]]);
         assert_eq!(s.num_levels(), 4 + 6 - 1);
         // θ(i, j) = i + j.
+        let theta = theta(&s);
         for i in 0..4 {
             for j in 0..6 {
-                assert_eq!(s.level_of(&[i, j]), i + j);
+                assert_eq!(theta[i * 6 + j], i + j);
             }
         }
-        assert!(s.validate(&[vec![-1, 0], vec![0, -1]]));
     }
 
     #[test]
@@ -191,9 +227,9 @@ mod tests {
         // Only (-1,-1): blocks in the same row/col are independent.
         let s = WavefrontSchedule::compute(&[3, 3], &[vec![-1, -1]]);
         assert_eq!(s.num_levels(), 3);
-        assert_eq!(s.level_of(&[0, 2]), 0);
-        assert_eq!(s.level_of(&[2, 2]), 2);
-        assert!(s.validate(&[vec![-1, -1]]));
+        let theta = theta(&s);
+        assert_eq!(theta[2], 0);
+        assert_eq!(theta[8], 2);
     }
 
     #[test]
@@ -202,12 +238,11 @@ mod tests {
         // which serializes consecutive rows into a pipeline with skew.
         let deps = vec![vec![-1, -1], vec![-1, 0], vec![-1, 1], vec![0, -1]];
         let s = WavefrontSchedule::compute(&[4, 8], &deps);
-        assert!(s.validate(&deps));
-        // θ(i, j) = i*2 + j is NOT the answer; with (0,-1) serializing
-        // each row, θ(i,j) = max over deps. Check monotonicity per row.
+        // With (0,-1) serializing each row, θ grows along every row.
+        let theta = theta(&s);
         for i in 0..4 {
             for j in 1..8 {
-                assert!(s.level_of(&[i, j]) > s.level_of(&[i, j - 1]));
+                assert!(theta[i * 8 + j] > theta[i * 8 + j - 1]);
             }
         }
     }
@@ -216,32 +251,38 @@ mod tests {
     fn wavefronts_partition_the_grid() {
         let deps = vec![vec![-1, 0, 0], vec![0, -1, 0], vec![0, 0, -1]];
         let s = WavefrontSchedule::compute(&[3, 4, 5], &deps);
-        let total: usize = s.wavefronts().levels().map(<[_]>::len).sum();
-        assert_eq!(total, 60);
+        assert_eq!(s.num_blocks(), 60);
         assert_eq!(s.num_levels(), 3 + 4 + 5 - 2);
-        // Every block appears exactly once.
+        // Every block appears exactly once, ascending within a level.
         let mut seen = [false; 60];
-        for level in s.wavefronts().levels() {
+        for level in s.levels() {
+            assert!(level.windows(2).all(|w| w[0] < w[1]));
             for &b in level {
-                assert!(!seen[b], "block {b} scheduled twice");
-                seen[b] = true;
+                assert!(!seen[b as usize], "block {b} scheduled twice");
+                seen[b as usize] = true;
             }
         }
         assert!(seen.iter().all(|&x| x));
     }
 
     #[test]
-    fn linearize_roundtrip() {
-        let s = WavefrontSchedule::compute(&[3, 4, 5], &[]);
-        for flat in [0usize, 1, 19, 37, 59] {
-            assert_eq!(s.linearize(&s.delinearize(flat)), flat);
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "out of extent")]
-    fn linearize_bounds_checked() {
-        let s = WavefrontSchedule::compute(&[3, 3], &[]);
-        let _ = s.linearize(&[3, 0]);
+    fn walk_visits_in_grid_deps_in_order() {
+        // 2x3 grid: block 4 = (1, 1) sees all three offsets in the grid,
+        // block 3 = (1, 0) loses the two leaving through column 0.
+        let deps = vec![vec![0, -1], vec![-1, 1], vec![-1, -1]];
+        let mut edges = Vec::new();
+        let theta = walk(&[2, 3], &deps, |p, b| edges.push((p, b)));
+        let want = [
+            (0, 1),
+            (1, 2),
+            (1, 3),
+            (3, 4),
+            (2, 4),
+            (0, 4),
+            (4, 5),
+            (1, 5),
+        ];
+        assert_eq!(edges, want);
+        assert_eq!(theta, vec![0, 1, 2, 2, 3, 4]);
     }
 }

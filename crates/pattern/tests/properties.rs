@@ -9,7 +9,7 @@ use instencil_pattern::blockdeps::{block_dependences, from_block_stencil, to_blo
 use instencil_pattern::offset::{is_lex_negative, lex_compare, negate};
 use instencil_pattern::schedule::WavefrontSchedule;
 use instencil_pattern::tiling::{clamp_tile_sizes, is_legal_tiling, restricted_dims};
-use instencil_pattern::{presets, StencilPattern};
+use instencil_pattern::{presets, BlockGraph, ScheduleBundle, StencilPattern};
 
 /// A random valid 2-D pattern in a 3×3 or 5×5 window.
 fn arb_pattern_2d(rng: &mut Rng) -> StencilPattern {
@@ -105,21 +105,28 @@ fn restriction_is_sound() {
     });
 }
 
-/// The Eq. (3) schedule respects every dependence and partitions the
-/// grid.
-#[test]
-fn schedule_valid_and_complete() {
-    check("schedule_valid_and_complete", |rng| {
-        let p = arb_pattern_2d(rng);
-        let grid = arb_grid_2d(rng);
-        let restricted = restricted_dims(&p);
-        let tiles: Vec<usize> = restricted.iter().map(|&r| if r { 1 } else { 4 }).collect();
-        let deps = block_dependences(&p, &tiles).unwrap();
-        let s = WavefrontSchedule::compute(&grid, &deps);
-        assert!(s.validate(&deps));
-        let total: usize = s.wavefronts().levels().map(<[_]>::len).sum();
-        assert_eq!(total, grid.iter().product::<usize>());
-    });
+/// The in-grid `flat + r`, `r` in `deps` order: the dependence edges
+/// into `flat`, decoded independently of the crate.
+fn preds_of(flat: usize, grid: &[usize], deps: &[Vec<i64>]) -> Vec<usize> {
+    let mut coord = vec![0i64; grid.len()];
+    let mut rem = flat;
+    for d in (0..grid.len()).rev() {
+        coord[d] = (rem % grid[d]) as i64;
+        rem /= grid[d];
+    }
+    let mut preds = Vec::new();
+    'dep: for r in deps {
+        let mut src = 0usize;
+        for d in 0..grid.len() {
+            let c = coord[d] + r[d];
+            if c < 0 || c >= grid[d] as i64 {
+                continue 'dep;
+            }
+            src = src * grid[d] + c as usize;
+        }
+        preds.push(src);
+    }
+    preds
 }
 
 /// Independent longest-dependence-path oracle: memoized top-down search
@@ -134,90 +141,89 @@ fn longest_path(
     if let Some(v) = memo[flat] {
         return v;
     }
-    let mut coord = vec![0i64; grid.len()];
-    let mut rem = flat;
-    for d in (0..grid.len()).rev() {
-        coord[d] = (rem % grid[d]) as i64;
-        rem /= grid[d];
-    }
-    let mut best = 0usize;
-    'dep: for r in deps {
-        let mut src = 0usize;
-        for d in 0..grid.len() {
-            let c = coord[d] + r[d];
-            if c < 0 || c >= grid[d] as i64 {
-                continue 'dep;
-            }
-            src = src * grid[d] + c as usize;
-        }
-        best = best.max(longest_path(src, grid, deps, memo) + 1);
-    }
+    let best = preds_of(flat, grid, deps)
+        .into_iter()
+        .map(|p| longest_path(p, grid, deps, memo) + 1)
+        .max()
+        .unwrap_or(0);
     memo[flat] = Some(best);
     best
 }
 
-/// Eq. (3) on *random grids and random lex-negative dependence sets*
-/// (not derived from a stencil pattern): (i) θ is valid — every
-/// dependence that stays inside the grid crosses strictly increasing
-/// levels, checked directly from the CSR encoding; (ii) the level count
-/// equals `1 + longest dependence path`, computed by the independent
-/// oracle above (the schedule is latency-optimal, not merely legal).
+/// θ of every block, recovered from the CSR rows (block → level index).
+/// Asserts the partition: every block scheduled exactly once.
+fn theta_of(s: &WavefrontSchedule, n: usize) -> Vec<usize> {
+    let mut theta = vec![usize::MAX; n];
+    for (lvl, row) in s.levels().enumerate() {
+        for &b in row {
+            assert_eq!(theta[b as usize], usize::MAX, "block {b} scheduled twice");
+            theta[b as usize] = lvl;
+        }
+    }
+    assert!(
+        theta.iter().all(|&t| t != usize::MAX),
+        "some block never scheduled"
+    );
+    theta
+}
+
+/// A random grid of rank 1–3 with 1–4 distinct lex-negative offsets in
+/// `{-1, 0, 1}^rank` (not derived from a stencil pattern).
+fn arb_grid_and_deps(rng: &mut Rng) -> (Vec<usize>, Vec<Vec<i64>>) {
+    let rank = rng.gen_range_usize(1, 4);
+    let grid: Vec<usize> = (0..rank).map(|_| rng.gen_range_usize(1, 7)).collect();
+    let want = rng.gen_range_usize(1, 5);
+    let mut deps: Vec<Vec<i64>> = Vec::new();
+    let mut attempts = 0;
+    while deps.len() < want && attempts < 200 {
+        attempts += 1;
+        let r: Vec<i64> = (0..rank).map(|_| rng.gen_range_i64(-1, 2)).collect();
+        if is_lex_negative(&r) && !deps.contains(&r) {
+            deps.push(r);
+        }
+    }
+    (grid, deps)
+}
+
+/// The Eq. (3) schedule partitions the grid, and every block's level is
+/// its longest dependence path.
+#[test]
+fn schedule_valid_and_complete() {
+    check("schedule_valid_and_complete", |rng| {
+        let p = arb_pattern_2d(rng);
+        let grid = arb_grid_2d(rng);
+        let restricted = restricted_dims(&p);
+        let tiles: Vec<usize> = restricted.iter().map(|&r| if r { 1 } else { 4 }).collect();
+        let deps = block_dependences(&p, &tiles).unwrap();
+        let n = grid.iter().product::<usize>();
+        let theta = theta_of(&WavefrontSchedule::compute(&grid, &deps), n);
+        let mut memo = vec![None; n];
+        for (b, &t) in theta.iter().enumerate() {
+            assert_eq!(t, longest_path(b, &grid, &deps, &mut memo), "block {b}");
+        }
+    });
+}
+
+/// Eq. (3) on *random grids and random lex-negative dependence sets*:
+/// (i) θ is valid — every dependence that stays inside the grid crosses
+/// strictly increasing levels, checked directly from the CSR encoding;
+/// (ii) the level count equals `1 + longest dependence path`, computed by
+/// the independent oracle above (the schedule is latency-optimal, not
+/// merely legal).
 #[test]
 fn schedule_random_deps_valid_and_latency_optimal() {
     check_n("schedule_random_deps_valid_and_latency_optimal", 128, |rng| {
-        let rank = rng.gen_range_usize(1, 4);
-        let grid: Vec<usize> = (0..rank).map(|_| rng.gen_range_usize(1, 7)).collect();
+        let (grid, deps) = arb_grid_and_deps(rng);
         let n: usize = grid.iter().product();
-        // 1..=4 distinct lex-negative offsets in {-1, 0, 1}^rank.
-        let want = rng.gen_range_usize(1, 5);
-        let mut deps: Vec<Vec<i64>> = Vec::new();
-        let mut attempts = 0;
-        while deps.len() < want && attempts < 200 {
-            attempts += 1;
-            let r: Vec<i64> = (0..rank).map(|_| rng.gen_range_i64(-1, 2)).collect();
-            if is_lex_negative(&r) && !deps.contains(&r) {
-                deps.push(r);
-            }
-        }
-        if deps.is_empty() {
-            return; // rank-1 grids admit only one such offset; never empty in practice
-        }
         let s = WavefrontSchedule::compute(&grid, &deps);
-
-        // Recover θ from the CSR rows (block → level index) and check the
-        // partition: every block scheduled exactly once.
-        let mut theta = vec![usize::MAX; n];
-        for (lvl, row) in s.wavefronts().levels().enumerate() {
-            for &b in row {
-                assert_eq!(theta[b], usize::MAX, "block {b} scheduled twice");
-                theta[b] = lvl;
-            }
-        }
-        assert!(
-            theta.iter().all(|&t| t != usize::MAX),
-            "some block never scheduled"
-        );
+        let theta = theta_of(&s, n);
 
         // (i) Every in-grid dependence crosses strictly increasing levels.
-        let mut coord = vec![0i64; rank];
         for flat in 0..n {
-            let mut rem = flat;
-            for d in (0..rank).rev() {
-                coord[d] = (rem % grid[d]) as i64;
-                rem /= grid[d];
-            }
-            'dep: for r in &deps {
-                let mut src = 0usize;
-                for d in 0..rank {
-                    let c = coord[d] + r[d];
-                    if c < 0 || c >= grid[d] as i64 {
-                        continue 'dep;
-                    }
-                    src = src * grid[d] + c as usize;
-                }
+            for src in preds_of(flat, &grid, &deps) {
                 assert!(
                     theta[src] < theta[flat],
-                    "dep {r:?}: θ({src}) = {} !< θ({flat}) = {} on grid {grid:?}",
+                    "deps {deps:?}: θ({src}) = {} !< θ({flat}) = {} on grid {grid:?}",
                     theta[src],
                     theta[flat]
                 );
@@ -235,6 +241,39 @@ fn schedule_random_deps_valid_and_latency_optimal() {
             longest + 1,
             "grid {grid:?} deps {deps:?}: schedule is not latency-optimal"
         );
+    });
+}
+
+/// `ScheduleBundle::new` takes its levels and its graph from one walk of
+/// the grid: the levels equal `WavefrontSchedule::compute`, the graph's
+/// lists equal `BlockGraph::build` and the decoded edges (predecessors in
+/// `deps` order, successors ascending), and every edge crosses strictly
+/// increasing θ.
+#[test]
+fn bundle_levels_and_graph_match_the_separate_builds() {
+    check_n("bundle_levels_and_graph_match_the_separate_builds", 128, |rng| {
+        let (grid, deps) = arb_grid_and_deps(rng);
+        let n: usize = grid.iter().product();
+        let bundle = ScheduleBundle::new(&grid, &deps);
+        let label = format!("grid {grid:?} deps {deps:?}");
+        assert_eq!(bundle.wavefronts, WavefrontSchedule::compute(&grid, &deps), "{label}");
+        let graph = BlockGraph::build(&grid, &deps);
+        let theta = theta_of(&bundle.wavefronts, n);
+        let mut succ = vec![Vec::new(); n];
+        for b in 0..n {
+            let preds = preds_of(b, &grid, &deps);
+            for &p in &preds {
+                succ[p].push(b as u32);
+                assert!(theta[p] < theta[b], "{label}: edge {p} -> {b}");
+            }
+            let preds: Vec<u32> = preds.into_iter().map(|p| p as u32).collect();
+            assert_eq!(bundle.graph.predecessors(b), preds.as_slice(), "{label}: pred({b})");
+            assert_eq!(graph.predecessors(b), preds.as_slice(), "{label}: pred({b})");
+        }
+        for (b, want) in succ.iter().enumerate() {
+            assert_eq!(bundle.graph.successors(b), want.as_slice(), "{label}: succ({b})");
+            assert_eq!(graph.successors(b), want.as_slice(), "{label}: succ({b})");
+        }
     });
 }
 

@@ -26,13 +26,19 @@ fn main() {
         "grid {:?}: {} wavefront levels, peak parallelism {}",
         grid,
         schedule.num_levels(),
-        schedule.wavefronts().max_parallelism()
+        schedule.max_parallelism()
     );
-    // Render θ (the level of each block).
-    for i in 0..grid[0] {
+    // Render θ (the level of each block), inverted from the CSR.
+    let mut theta = vec![0; grid[0] * grid[1]];
+    for (level, blocks) in schedule.levels().enumerate() {
+        for &b in blocks {
+            theta[b as usize] = level;
+        }
+    }
+    for row in theta.chunks(grid[1]) {
         print!("  ");
-        for j in 0..grid[1] {
-            print!("{:>4}", schedule.level_of(&[i, j]));
+        for level in row {
+            print!("{level:>4}");
         }
         println!();
     }
@@ -44,7 +50,7 @@ fn main() {
     println!(
         "\n5-point pattern at 8x8 tiles: {} levels, peak parallelism {}",
         s5.num_levels(),
-        s5.wavefronts().max_parallelism()
+        s5.max_parallelism()
     );
 
     // Execute with real threads, level by level: the pool drains the

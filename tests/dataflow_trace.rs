@@ -20,7 +20,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use instencil::exec::WavefrontPool;
 use instencil::obs::Obs;
 use instencil::pattern::dataflow::{BlockGraph, ScheduleBundle, Scheduler};
-use instencil::pattern::WavefrontSchedule;
 use instencil_testkit::{check_n, Rng};
 
 /// A random grid of rank 2 or 3 with extents in `[1, 6]`.
@@ -140,7 +139,12 @@ fn dataflow_trace_never_runs_a_block_before_its_predecessors() {
         let graph = BlockGraph::build(&grid, &deps);
         let n = graph.num_blocks();
         let bundle = ScheduleBundle::new(&grid, &deps);
-        let schedule = WavefrontSchedule::compute(&grid, &deps);
+        let mut level = vec![0; n];
+        for (l, row) in bundle.wavefronts.levels().enumerate() {
+            for &b in row {
+                level[b as usize] = l;
+            }
+        }
         for threads in [1usize, 2, 4, 8] {
             for scheduler in [Scheduler::Dataflow, Scheduler::Levels] {
                 let clock = AtomicU64::new(1);
@@ -179,16 +183,15 @@ fn dataflow_trace_never_runs_a_block_before_its_predecessors() {
                     }
                 }
                 if scheduler == Scheduler::Levels {
-                    let level = |b: usize| schedule.level_of_flat(b);
                     for (a, b) in (0..n).flat_map(|a| (0..n).map(move |b| (a, b))) {
                         let end = ends[a].load(Ordering::SeqCst);
                         let start = starts[b].load(Ordering::SeqCst);
                         assert!(
-                            level(a) >= level(b) || end < start,
+                            level[a] >= level[b] || end < start,
                             "{label}: block {b} of level {} started before block {a} \
                              of level {} ended",
-                            level(b),
-                            level(a)
+                            level[b],
+                            level[a]
                         );
                     }
                 }

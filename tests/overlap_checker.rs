@@ -104,7 +104,7 @@ fn run_csr_arguments(
     let bundle = ScheduleBundle::new(&[2], deps);
     let b = BufferView::alloc(&[4]);
     let copy = |a: &Arc<Vec<i64>>| RtVal::I64Arr(Arc::new(a.to_vec()));
-    let args = vec![RtVal::Buf(b.clone()), copy(&bundle.rows), copy(&bundle.cols)];
+    let args = vec![RtVal::Buf(b.clone()), copy(bundle.wavefronts.rows()), copy(bundle.wavefronts.cols())];
     let obs = Obs::new(ObsLevel::Summary);
     let stats = match pool {
         None => {
