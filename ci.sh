@@ -37,6 +37,12 @@ CARGO_TARGET_DIR=target cargo build --release $OFFLINE --manifest-path benchmark
 # no dependency on the model crate, and no process-global state.
 if cargo tree $OFFLINE -p instencil-exec -e normal | grep instencil-machine; then echo "instencil-exec depends on instencil-machine" >&2; exit 1; fi
 if grep -rn OnceLock crates/exec/src crates/pattern/src; then echo "process-global state in exec/pattern" >&2; exit 1; fi
+# Drains run on the pool's persistent crew: non-test exec code opens no
+# scoped threads, never sleeps, and spawns threads only for the crew
+# (each file is read up to its `#[cfg(test)]` module).
+exec_src=$(find crates/exec/src -name '*.rs' -exec awk '/^#\[cfg\(test\)\]/ { nextfile } { print FILENAME ":" FNR ": " $0 }' {} +)
+if grep -E 'thread::(scope|sleep)|MAX_PARK_US' <<<"$exec_src"; then echo "scoped threads or timed sleeps in exec" >&2; exit 1; fi
+if grep -E 'thread::(spawn|Builder)' <<<"$exec_src" | grep -v '^crates/exec/src/parallel.rs:.*handoff\.serve'; then echo "thread spawn outside the crew in exec" >&2; exit 1; fi
 
 echo "==> cargo test (tier-1: default-members cover the whole workspace)"
 # Runs in the debug profile, so the wavefront overlap checkers are armed

@@ -220,8 +220,10 @@ pub struct CompiledModule {
 /// Runs the full pipeline on a tensor-level kernel module.
 ///
 /// # Errors
-/// Returns a [`CompileError`] when any stage rejects the input (illegal
-/// tile sizes, malformed ops, post-pass verification failures).
+/// Returns a [`CompileError`] when any stage rejects the input: tile or
+/// sub-domain sizes of the wrong rank, zero or illegal (stage `tile`), a
+/// vector factor below 2 (stage `lower`), malformed ops, post-pass
+/// verification failures.
 pub fn compile(module: &Module, opts: &PipelineOptions) -> Result<CompiledModule, CompileError> {
     compile_with_obs(module, opts, Obs::new(opts.obs))
 }
@@ -508,6 +510,34 @@ mod tests {
         let c = compile(&kernels::gauss_seidel_5pt_module(), &opts).unwrap();
         assert!(!c.obs.enabled());
         assert_eq!(c.obs.snapshot(), instencil_obs::Recorded::default());
+    }
+
+    #[test]
+    fn bad_options_are_compile_errors_not_panics() {
+        let new = |sub: &[usize], tile: &[usize]| PipelineOptions::new(sub.into(), tile.into());
+        let (gs5, heat3d) = (kernels::gauss_seidel_5pt_module(), kernels::heat3d_module());
+        let rows = [
+            ("zero tile extent", &gs5, new(&[16, 16], &[0, 8]), "tile"),
+            ("zero sub-domain extent", &gs5, new(&[16, 0], &[8, 8]), "tile"),
+            ("rank-1 tile on 2-D", &gs5, new(&[16, 16], &[8]), "tile"),
+            ("rank-1 sub-domain on 2-D", &gs5, new(&[16], &[8, 8]), "tile"),
+            ("rank-3 tile on 2-D", &gs5, new(&[16, 16], &[8, 8, 8]), "tile"),
+            ("rank-2 sub-domain on 3-D", &heat3d, new(&[8, 8], &[4, 4, 4]), "tile"),
+            ("zero fused 3-D tile", &heat3d, new(&[8, 8, 8], &[4, 0, 4]).fuse(true), "tile"),
+            ("vf 0", &gs5, new(&[16, 16], &[8, 8]).vectorize(Some(0)), "lower"),
+            ("vf 1", &gs5, new(&[16, 16], &[8, 8]).vectorize(Some(1)), "lower"),
+            (
+                "vf 1, serial",
+                &gs5,
+                new(&[16, 16], &[8, 8]).parallel(false).vectorize(Some(1)),
+                "lower",
+            ),
+        ];
+        for (name, module, opts, stage) in rows {
+            let outcome = std::panic::catch_unwind(|| compile(module, &opts));
+            let err = outcome.unwrap_or_else(|_| panic!("{name}: compile panicked")).unwrap_err();
+            assert_eq!(err.stage, stage, "{name}: {err}");
+        }
     }
 
     #[test]

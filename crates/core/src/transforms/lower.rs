@@ -1070,11 +1070,18 @@ pub fn lower_func(func: &Func, opts: &LowerOptions) -> Result<(Func, LowerStats)
 /// Lowers every function of a module; returns accumulated statistics.
 ///
 /// # Errors
-/// Propagates the first per-function failure.
+/// Rejects a vector factor of 0 or 1; propagates the first per-function
+/// failure.
 pub fn lower_module(
     module: &Module,
     opts: &LowerOptions,
 ) -> Result<(Module, LowerStats), PassError> {
+    if let Some(vf @ (0 | 1)) = opts.vectorize {
+        return Err(PassError::new(
+            "lower",
+            format!("vector factor {vf} must be at least 2 (None for scalar code)"),
+        ));
+    }
     let mut out = Module::new(module.name.clone());
     let mut stats = LowerStats::default();
     for f in module.funcs() {

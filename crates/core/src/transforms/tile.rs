@@ -63,7 +63,27 @@ struct Info {
     block_deps: Vec<Offset>,
 }
 
-fn op_info(body: &Body, op_id: OpId, subdomain: &[usize]) -> Result<Info, PassError> {
+/// Checks that `opts` gives one positive tile and sub-domain extent per
+/// spatial dimension of a rank-`k` op.
+fn check_extents(opts: &TileOptions, k: usize) -> Result<(), PassError> {
+    for (what, sizes) in [("tile", &opts.tile), ("sub-domain", &opts.subdomain)] {
+        if sizes.len() != k {
+            return Err(PassError::new(
+                "tile",
+                format!("{what} sizes {sizes:?} have rank {}, the kernel {k}", sizes.len()),
+            ));
+        }
+        if sizes.contains(&0) {
+            return Err(PassError::new(
+                "tile",
+                format!("{what} sizes {sizes:?} must be positive"),
+            ));
+        }
+    }
+    Ok(())
+}
+
+fn op_info(body: &Body, op_id: OpId, opts: &TileOptions) -> Result<Info, PassError> {
     let op = body.op(op_id);
     let out = *op.operands.last().expect("structured op has operands");
     // For the bufferized stencil the out operand is Y (last); bounds are
@@ -73,13 +93,14 @@ fn op_info(body: &Body, op_id: OpId, subdomain: &[usize]) -> Result<Info, PassEr
         .rank()
         .ok_or_else(|| PassError::new("tile", "output operand must be shaped"))?;
     let k = rank - 1;
+    check_extents(opts, k)?;
     match &op.opcode {
         OpCode::CfdStencil => {
             let pattern = stencil_pattern(body, op_id)?;
             let sweep = Sweep::decode(op.int_attr("sweep").unwrap_or(1))
                 .ok_or_else(|| PassError::new("tile", "bad sweep attribute"))?;
-            let sd: Vec<usize> = subdomain[..k].to_vec();
-            let deps = blockdeps::block_dependences(&pattern, &sd).map_err(|e| {
+            let sd = &opts.subdomain;
+            let deps = blockdeps::block_dependences(&pattern, sd).map_err(|e| {
                 PassError::new("tile", format!("illegal sub-domain sizes {sd:?}: {e}"))
             })?;
             let margins = pattern.radii().iter().map(|&r| r as i64).collect();
@@ -211,14 +232,8 @@ impl OpExpander for Tiler<'_> {
         }
         let info = {
             let _s = self.obs.span("tile:pattern-extraction");
-            op_info(src, op_id, &self.opts.subdomain)?
+            op_info(src, op_id, self.opts)?
         };
-        if self.opts.tile.len() < info.k || self.opts.subdomain.len() < info.k {
-            return Err(PassError::new(
-                "tile",
-                format!("tile/subdomain ranks smaller than spatial rank {}", info.k),
-            ));
-        }
         let fused = self.fused.get(&op_id).cloned().unwrap_or_default();
         let mut s = self.obs.span("tile:emit");
         s.note("fused_producers", fused.len() as i64);
@@ -524,15 +539,14 @@ pub fn tile_func_traced(func: &Func, opts: &TileOptions, obs: &Obs) -> Result<Fu
         let op = func.body.op(op_id);
         if op.opcode == OpCode::CfdStencil && legality.is_ok() {
             if let Ok(p) = stencil_pattern(&func.body, op_id) {
-                let k = p.rank();
-                if opts.tile.len() >= k {
-                    if let Err(e) = blockdeps::block_dependences(&p, &opts.tile[..k]) {
-                        legality = Err(PassError::new(
+                legality = check_extents(opts, p.rank()).and_then(|()| {
+                    blockdeps::block_dependences(&p, &opts.tile).map(drop).map_err(|e| {
+                        PassError::new(
                             "tile",
-                            format!("illegal cache-tile sizes {:?}: {e}", &opts.tile[..k]),
-                        ));
-                    }
-                }
+                            format!("illegal cache-tile sizes {:?}: {e}", opts.tile),
+                        )
+                    })
+                });
             }
         }
     });

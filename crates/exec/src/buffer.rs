@@ -671,27 +671,39 @@ pub mod overlap {
     }
 
     thread_local! {
-        static ACTIVE: RefCell<Option<BlockWrites>> = const { RefCell::new(None) };
+        /// The units recording on this thread, innermost last: a drain
+        /// nested in a block body records inside its enclosing block.
+        static ACTIVE: RefCell<Vec<BlockWrites>> = const { RefCell::new(Vec::new()) };
     }
 
     /// Starts recording `block` (a checker-specific id) on the current
     /// thread.
     fn start(block: usize) {
         ACTIVE.with(|a| {
-            let mut a = a.borrow_mut();
-            debug_assert!(a.is_none(), "nested overlap-checker blocks");
-            *a = Some(BlockWrites {
+            a.borrow_mut().push(BlockWrites {
                 block,
                 per_storage: Vec::new(),
             });
         });
     }
 
-    /// Stops recording on the current thread and yields the write set —
-    /// `None` while unwinding out of a failed block, so a guard never
-    /// double-panics.
+    /// Stops recording the innermost unit on the current thread and
+    /// yields its write set — `None` while unwinding out of a failed
+    /// block, so a guard never double-panics. A nested unit's writes are
+    /// its enclosing unit's writes too.
     fn finish() -> Option<BlockWrites> {
-        let writes = ACTIVE.with(|a| a.borrow_mut().take())?;
+        let writes = ACTIVE.with(|a| {
+            let mut stack = a.borrow_mut();
+            let writes = stack.pop()?;
+            if let Some(outer) = stack.last_mut() {
+                for (id, storage, intervals) in &writes.per_storage {
+                    for &(lo, hi) in intervals {
+                        outer.push(*id, Some(storage), lo, hi - lo + 1);
+                    }
+                }
+            }
+            Some(writes)
+        })?;
         (!std::thread::panicking()).then_some(writes)
     }
 
@@ -700,7 +712,7 @@ pub mod overlap {
     #[inline]
     pub(crate) fn note_store(storage: &Arc<[AtomicU64]>, lo: usize, len: usize) {
         ACTIVE.with(|a| {
-            if let Some(w) = a.borrow_mut().as_mut() {
+            if let Some(w) = a.borrow_mut().last_mut() {
                 w.push(storage.as_ptr() as usize, Some(storage), lo, len);
             }
         });
@@ -718,7 +730,7 @@ pub mod overlap {
     #[inline]
     pub(crate) fn note_store_raw(id: usize, lo: usize, len: usize) {
         ACTIVE.with(|a| {
-            if let Some(w) = a.borrow_mut().as_mut() {
+            if let Some(w) = a.borrow_mut().last_mut() {
                 w.push(id, None, lo, len);
             }
         });

@@ -545,9 +545,9 @@ pub struct BytecodeEngine {
     /// Accumulated dynamic statistics (identical to the interpreter's on
     /// the same module and inputs).
     pub stats: ExecStats,
-    threads: usize,
-    obs: Obs,
-    scheduler: Scheduler,
+    /// The wavefront pool every call drains on: its worker count,
+    /// scheduler, obs collector and persistent crew.
+    pool: WavefrontPool,
     /// Run-specialization scratch retired by finished frames and handed
     /// to new ones, so plan caches survive across calls: plan slots are
     /// indexed by the loop numbers of `program` (owned by this engine
@@ -614,9 +614,7 @@ impl BytecodeEngine {
         Ok(BytecodeEngine {
             program: compile_program(module, opts, &obs)?,
             stats: ExecStats::default(),
-            threads: threads.max(1),
-            obs,
-            scheduler: Scheduler::Levels,
+            pool: WavefrontPool::with_opts(threads, obs, Scheduler::Levels),
             scratch_pool: Mutex::new(Vec::new()),
             schedules: Mutex::new(Vec::new()),
         })
@@ -626,26 +624,27 @@ impl BytecodeEngine {
     /// compiled program is unchanged; results are bit-identical).
     #[must_use]
     pub fn with_scheduler(mut self, scheduler: Scheduler) -> Self {
-        self.scheduler = scheduler;
+        let pool = &self.pool;
+        self.pool = WavefrontPool::with_opts(pool.threads(), pool.obs().clone(), scheduler);
         self
     }
 
     /// The wavefront worker count.
     pub fn threads(&self) -> usize {
-        self.threads
+        self.pool.threads()
     }
 
     /// The wavefront scheduler mode.
     pub fn scheduler(&self) -> Scheduler {
-        self.scheduler
+        self.pool.scheduler()
     }
 
-    /// The execution context of one call: a pool over this engine's
-    /// workers, and the engine's cross-call scratch and schedule memo.
+    /// The execution context of one call: the engine's pool, cross-call
+    /// scratch and schedule memo.
     fn ctx(&self) -> BcCtx<'_> {
         BcCtx {
             program: &self.program,
-            pool: WavefrontPool::with_opts(self.threads, self.obs.clone(), self.scheduler),
+            pool: &self.pool,
             scratch: &self.scratch_pool,
             schedules: &self.schedules,
         }
@@ -695,7 +694,8 @@ impl BytecodeEngine {
             .ok_or_else(|| ExecError::new(format!("no function `{name}`")))?;
         let mut stats = ExecStats::default();
         let out = if sweeps > 1 && batchable_wavefronts(&self.program.funcs[fi]).is_none() {
-            self.obs
+            self.pool
+                .obs()
                 .event("sweep-batch-fallback", "entry tape is not a pure wavefront sweep");
             let ctx = self.ctx();
             (1..sweeps)
@@ -765,7 +765,7 @@ fn batchable_wavefronts(func: &BcFunc) -> Option<(u32, u32, u32, u32)> {
 /// Read-only execution context shared by all threads.
 struct BcCtx<'p> {
     program: &'p BcProgram,
-    pool: WavefrontPool,
+    pool: &'p WavefrontPool,
     /// The engine's cross-call [`RunScratch`] pool (see the field doc on
     /// [`BytecodeEngine`]). Frames pop a warm scratch on entry and push
     /// it back when they finish.
@@ -1396,7 +1396,7 @@ impl BcCtx<'_> {
         // sequential semantics.
         let base: &Regs = regs;
         parallel::execute_wavefronts(
-            &self.pool,
+            self.pool,
             rows,
             &cols.data,
             cols.sched.as_deref(),
@@ -1587,6 +1587,23 @@ mod tests {
         assert_eq!(a.stats.schedules_computed, 3, "every call counts its schedule");
         let mut b = BytecodeEngine::compile(&m).unwrap();
         assert!(!Arc::ptr_eq(&grown, &run(&mut b, 4)), "engines hold distinct bundles");
+    }
+
+    #[test]
+    fn dropping_the_engine_joins_its_crew() {
+        use instencil_core::pipeline::{compile, PipelineOptions};
+        let module = instencil_core::kernels::gauss_seidel_5pt_module();
+        let opts = PipelineOptions::new(vec![8, 8], vec![4, 4]);
+        let compiled = compile(&module, &opts).unwrap();
+        let mut eng = BytecodeEngine::compile_with_threads(&compiled.module, 4).unwrap();
+        let live = eng.pool.live_workers();
+        let bufs = [[1, 34, 34]; 2].map(|shape| RtVal::Buf(crate::BufferView::alloc(&shape)));
+        for _ in 0..2 {
+            eng.call("gs5", bufs.to_vec()).unwrap();
+            assert_eq!(live(), 3, "one crew of threads - 1 serves every call");
+        }
+        drop(eng);
+        assert_eq!(live(), 0, "dropping the engine joins every worker");
     }
 
     #[test]

@@ -14,7 +14,8 @@
 //!   interpreter, several times faster (the default engine for
 //!   wall-clock measurements);
 //! * [`parallel::WavefrontPool`] — genuinely multithreaded wavefront
-//!   execution over CSR schedules (std scoped threads);
+//!   execution over CSR schedules (a persistent crew of parked std
+//!   threads per pool, woken once per execute op);
 //! * [`driver`] — sweep-loop helpers for in-place and out-of-place
 //!   kernels.
 //!

@@ -31,17 +31,25 @@
 //! §4c/§4g/§4j).
 //!
 //! The drain has one worker body at every thread count. Worker 0 runs
-//! on the calling thread inside the [`thread::scope`], so a lone worker
-//! spawns nothing. Workers run closures over *linearized sub-domain
+//! on the calling thread; workers `1..threads` are the pool's **crew**,
+//! `threads − 1` OS threads spawned by the first drain that needs more
+//! than one worker, parked on a condition variable between drains and
+//! joined when the last clone of the pool is dropped. A drain hands the
+//! crew its worker body through an epoch handoff (`Crew::run`), so an
+//! execute op spawns nothing, and a lone worker never wakes the crew.
+//! Idle workers inside a drain yield a few rounds, then block until a
+//! push, the last task's retirement or an abort wakes them (`Park`).
+//! Workers run closures over *linearized sub-domain
 //! indices* with private per-worker state (the bytecode engine runs
 //! `scf.execute_wavefronts` bodies with a per-thread register file and
 //! statistics frame); every worker's state is merged on the calling
 //! thread, and the first observed error and any worker panic propagate.
 
+use std::fmt;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
-use std::thread;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, TryLockError};
+use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
 use instencil_obs::trace::{self, TraceKind};
@@ -56,16 +64,25 @@ use crate::buffer::overlap;
 /// thread so the original message (e.g. the overlap checker's) survives.
 type PanicPayload = Box<dyn std::any::Any + Send + 'static>;
 
+/// A drain's worker body: `body(w)` runs worker `w` to the drain's end.
+type Body<'a> = dyn Fn(usize) + Sync + 'a;
+
 /// Idle scan rounds an empty-handed worker spends yielding before it
-/// starts sleeping. Yields are near-free and keep wake-up latency at
+/// parks. Yields are near-free and keep wake-up latency at
 /// scheduler-quantum scale while the wavefront pipeline is merely
 /// momentarily narrow.
 const SPIN_ROUNDS: u32 = 64;
 
-/// Cap on the exponential sleep, microseconds. Bounded low: a parked
-/// owner whose deque just received routed work must come back quickly,
-/// or the affinity routing would lengthen the critical path.
-const MAX_PARK_US: u64 = 64;
+/// Safety net on a parked worker's wait. Every event that can give it
+/// work wakes it explicitly, so the timeout never paces a drain.
+const PARK_TIMEOUT: Duration = Duration::from_millis(50);
+
+/// Locks `m`, ignoring poison: nothing panics while holding these locks,
+/// and a drain must still finish (and the crew still park) if a caller
+/// unwound through one.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// Per-worker counters of one drain, reported at `Trace` detail: the
 /// whole drain's, and a level graph's busy time and blocks per CSR level.
@@ -81,12 +98,225 @@ fn steal_ring(w: usize, threads: usize) -> impl Iterator<Item = usize> {
     (w + 1..threads).chain(0..w)
 }
 
-/// A scoped thread pool executing wavefront schedules.
+/// Where a drain's idle workers block, and what wakes them.
+///
+/// A worker registers in `sleepers`, takes `lock`, re-checks that it
+/// still has nothing to do, then waits. Whoever makes work or ends the
+/// drain checks `sleepers` afterwards and signals under `lock`, so a
+/// signal cannot fall between the re-check and the wait: the event
+/// either lands before the re-check (which then sees it) or after the
+/// registration (which the signaller then sees, `SeqCst` on both sides,
+/// and waits for `lock` before signalling). With nobody registered, as
+/// always at one worker, signalling costs one load.
+#[derive(Default)]
+struct Park {
+    sleepers: AtomicUsize,
+    lock: Mutex<()>,
+    cv: Condvar,
+}
+
+impl Park {
+    /// Blocks until woken, unless `idle()` — run under the lock after
+    /// registering — finds work after all.
+    fn park(&self, idle_rounds: u32, idle: impl FnOnce() -> bool) {
+        self.sleepers.fetch_add(1, Ordering::SeqCst);
+        let guard = lock(&self.lock);
+        if idle() {
+            let ts = trace::begin();
+            drop(self.cv.wait_timeout(guard, PARK_TIMEOUT));
+            trace::end(TraceKind::Park, ts, idle_rounds, 0);
+        }
+        self.sleepers.fetch_sub(1, Ordering::SeqCst);
+    }
+
+    /// Wakes one sleeper, if any: a task was pushed onto a deque.
+    fn nudge(&self) {
+        if self.sleepers.load(Ordering::SeqCst) > 0 {
+            let _guard = lock(&self.lock);
+            self.cv.notify_one();
+        }
+    }
+
+    /// Wakes every sleeper, if any: the drain is over or aborted.
+    fn wake_all(&self) {
+        if self.sleepers.load(Ordering::SeqCst) > 0 {
+            let _guard = lock(&self.lock);
+            self.cv.notify_all();
+        }
+    }
+}
+
+/// The pool's persistent workers, shared by every clone of the pool.
+///
+/// `threads` holds the spawned OS threads and doubles as the crew's
+/// ownership: a drain holds it locked for its whole duration, so two
+/// drains never hand the crew two bodies at once. The threads park on
+/// `handoff` between drains and are joined when the crew is dropped.
+#[derive(Default)]
+struct Crew {
+    handoff: Arc<Handoff>,
+    threads: Mutex<Vec<JoinHandle<()>>>,
+}
+
+/// What the caller and the crew threads share.
+#[derive(Default)]
+struct Handoff {
+    state: Mutex<Epoch>,
+    /// Wakes the crew: a new epoch or shutdown.
+    start: Condvar,
+    /// Wakes the caller: the last crew worker returned from the body.
+    done: Condvar,
+    /// Crew threads alive.
+    live: AtomicUsize,
+}
+
+/// One handoff, published under [`Handoff::state`].
+#[derive(Default)]
+struct Epoch {
+    /// Bumped once per drain the crew joins.
+    epoch: u64,
+    /// The drain's worker body, erased to `'static` (see [`Crew::run`]).
+    body: Option<BodyPtr>,
+    /// Workers of this epoch, the caller's worker 0 included: crew
+    /// thread `w` joins when `w < workers`.
+    workers: usize,
+    /// Crew workers of this epoch that have not yet returned.
+    running: usize,
+    /// The first panic that escaped a crew worker's body.
+    panic: Option<PanicPayload>,
+    shutdown: bool,
+}
+
+/// The worker body of the current epoch.
+struct BodyPtr(*const Body<'static>);
+
+// SAFETY: the pointee is `Sync`, so calling it from another thread is
+// sound while it is alive, which `Crew::run` guarantees.
+unsafe impl Send for BodyPtr {}
+
+impl Crew {
+    /// Claims the crew for one drain, first spawning it up to `size`
+    /// threads. `None` when another drain holds it — a clone driven from
+    /// another thread, or a drain nested in a block body.
+    fn claim(&self, size: usize) -> Option<MutexGuard<'_, Vec<JoinHandle<()>>>> {
+        let mut threads = match self.threads.try_lock() {
+            Ok(g) => g,
+            Err(TryLockError::Poisoned(p)) => p.into_inner(),
+            Err(TryLockError::WouldBlock) => return None,
+        };
+        while threads.len() < size {
+            let handoff = Arc::clone(&self.handoff);
+            let (w, seen) = (threads.len() + 1, lock(&handoff.state).epoch);
+            handoff.live.fetch_add(1, Ordering::SeqCst);
+            threads.push(thread::spawn(move || handoff.serve(w, seen)));
+        }
+        Some(threads)
+    }
+
+    /// Runs `body(0)` on the calling thread and `body(1..workers)` on the
+    /// crew, returning once every one of them has returned. The caller
+    /// holds the claim ([`Self::claim`]) on at least `workers − 1`
+    /// threads. A panic that escapes a body is re-raised here, after the
+    /// wait; the crew stays usable.
+    fn run(&self, workers: usize, body: &Body<'_>) {
+        let handoff = &self.handoff;
+        // SAFETY: the crew threads call `body` through a pointer whose
+        // borrow is erased to `'static`. It stays valid because this
+        // function does not return — not even by unwinding, since the
+        // caller's own `body(0)` runs under `catch_unwind` — before
+        // `running` is back to 0, that is, before every crew thread
+        // handed the pointer in this epoch has returned from calling
+        // it; the pointer is cleared under the same lock before
+        // returning, and a thread only reads it for an epoch it joins.
+        let erased = unsafe { std::mem::transmute::<&Body<'_>, &Body<'static>>(body) };
+        {
+            let mut st = lock(&handoff.state);
+            st.epoch += 1;
+            st.body = Some(BodyPtr(erased));
+            st.workers = workers;
+            st.running = workers - 1;
+        }
+        handoff.start.notify_all();
+        let own = catch_unwind(AssertUnwindSafe(|| body(0)));
+        let mut st = lock(&handoff.state);
+        while st.running > 0 {
+            st = handoff.done.wait(st).unwrap_or_else(PoisonError::into_inner);
+        }
+        st.body = None;
+        let escaped = st.panic.take();
+        drop(st);
+        if let Some(payload) = own.err().or(escaped) {
+            resume_unwind(payload);
+        }
+    }
+}
+
+impl Handoff {
+    /// Crew thread `w`'s life: park until an epoch it joins (or
+    /// shutdown), run the body, report back, park again.
+    fn serve(&self, w: usize, mut seen: u64) {
+        loop {
+            let body = {
+                let mut st = lock(&self.state);
+                while st.epoch == seen && !st.shutdown {
+                    st = self.start.wait(st).unwrap_or_else(PoisonError::into_inner);
+                }
+                if st.shutdown {
+                    break;
+                }
+                seen = st.epoch;
+                match &st.body {
+                    Some(body) if w < st.workers => body.0,
+                    _ => continue,
+                }
+            };
+            // SAFETY: `Crew::run` keeps `*body` alive until this thread
+            // decrements `running` below.
+            let outcome = catch_unwind(AssertUnwindSafe(|| unsafe { (*body)(w) }));
+            let mut st = lock(&self.state);
+            if let Err(payload) = outcome {
+                st.panic.get_or_insert(payload);
+            }
+            st.running -= 1;
+            if st.running == 0 {
+                self.done.notify_one();
+            }
+        }
+        self.live.fetch_sub(1, Ordering::SeqCst);
+    }
+}
+
+impl Drop for Crew {
+    fn drop(&mut self) {
+        let threads = self.threads.get_mut().unwrap_or_else(PoisonError::into_inner);
+        if threads.is_empty() {
+            return;
+        }
+        lock(&self.handoff.state).shutdown = true;
+        self.handoff.start.notify_all();
+        for t in threads.drain(..) {
+            // `serve` catches every body panic, so a join has nothing
+            // to re-raise.
+            let _ = t.join();
+        }
+    }
+}
+
+impl fmt::Debug for Crew {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let live = self.handoff.live.load(Ordering::Relaxed);
+        f.debug_struct("Crew").field("live", &live).finish()
+    }
+}
+
+/// A thread pool executing wavefront schedules on a persistent crew.
+/// Clones share the crew.
 #[derive(Clone, Debug)]
 pub struct WavefrontPool {
     threads: usize,
     obs: Obs,
     scheduler: Scheduler,
+    crew: Arc<Crew>,
 }
 
 impl WavefrontPool {
@@ -103,6 +333,7 @@ impl WavefrontPool {
             threads: threads.max(1),
             obs,
             scheduler,
+            crew: Arc::default(),
         }
     }
 
@@ -119,6 +350,13 @@ impl WavefrontPool {
     /// The scheduler mode this pool runs under.
     pub fn scheduler(&self) -> Scheduler {
         self.scheduler
+    }
+
+    /// A probe of how many crew threads are alive; it outlives the pool.
+    #[cfg(test)]
+    pub(crate) fn live_workers(&self) -> impl Fn() -> usize {
+        let handoff = Arc::clone(&self.crew.handoff);
+        move || handoff.live.load(Ordering::SeqCst)
     }
 
     /// The coarsening grain for `graph` at this pool's worker count.
@@ -158,9 +396,16 @@ impl WavefrontPool {
     /// `(t, s) → (t', s+1)` while the stripe is still cache-resident. An
     /// idle worker drains its own deque from the back (LIFO keeps the
     /// footprint warm), then steals from the front of its peers' deques
-    /// in rotated ring order (`steal_ring`), then backs off —
-    /// `SPIN_ROUNDS` yields, then exponential sleep capped at
-    /// `MAX_PARK_US` — until every task has retired.
+    /// in rotated ring order (`steal_ring`), then waits — `SPIN_ROUNDS`
+    /// yields, then it parks until a push onto a deque, the last task's
+    /// retirement or an abort wakes it — until every task has retired.
+    ///
+    /// Workers `1..` are the pool's crew: persistent OS threads spawned by
+    /// the first drain that needs them and parked between drains, so a
+    /// drain spawns nothing. A drain holds the crew until it returns; a
+    /// drain that finds it held (a clone driven from another thread, or a
+    /// drain nested in a block body) runs worker 0 alone on the calling
+    /// thread and reports a `crew-busy` obs event.
     ///
     /// Results are bit-identical to running the blocks level by level
     /// and the sweeps back-to-back (see `DESIGN.md` §4j). In debug builds
@@ -177,7 +422,7 @@ impl WavefrontPool {
     ///
     /// # Panics
     /// Propagates panics from worker closures (the original payload is
-    /// re-raised once every worker has stopped).
+    /// re-raised once every worker has stopped). The pool stays usable.
     pub fn try_drain<S, E, I, W, M>(
         &self,
         bundle: &ScheduleBundle,
@@ -237,10 +482,19 @@ impl WavefrontPool {
         // (k = 1) drain, so eager runs keep the untagged worker lanes.
         let tag = move |sweep: usize| if sweeps > 1 { sweep as u32 + 1 } else { 0 };
 
-        // No point spawning more workers than the graph can keep busy:
-        // the surplus would only spin on empty deques until the run
-        // retires.
-        let threads = self.threads.min(tasks.width());
+        // No point running more workers than the graph can keep busy:
+        // the surplus would only park until the run retires. A crew
+        // another drain holds leaves this one to worker 0 alone, the
+        // same body at one thread.
+        let wanted = self.threads.min(tasks.width());
+        let crew = if wanted > 1 { self.crew.claim(self.threads - 1) } else { None };
+        if wanted > 1 && crew.is_none() {
+            let why = "another drain holds the pool's workers: ran on the caller alone";
+            self.obs.event("crew-busy", why);
+        }
+        let threads = if crew.is_some() { wanted } else { 1 };
+        // A lone worker owns every level chunk.
+        let owner = |t: usize| tasks.owner(t, threads).min(threads - 1);
         let indeg: Vec<AtomicU32> = (0..total)
             .map(|node| {
                 let (s, t) = sgraph.split(node);
@@ -253,12 +507,10 @@ impl WavefrontPool {
             .collect();
         // Seed each ready root on its owner's deque.
         for r in sgraph.roots() {
-            deques[tasks.owner(r as usize, threads)]
-                .lock()
-                .unwrap()
-                .push_back(r);
+            deques[owner(r as usize)].lock().unwrap().push_back(r);
         }
         let abort = AtomicBool::new(false);
+        let park = Park::default();
         let panic_slot: Mutex<Option<PanicPayload>> = Mutex::new(None);
         let first_err: Mutex<Option<E>> = Mutex::new(None);
         // Level graphs: when each level closed, in ns since the drain
@@ -307,18 +559,19 @@ impl WavefrontPool {
                     if remaining.load(Ordering::Acquire) == 0 {
                         break;
                     }
-                    // Bounded spin, then exponential backoff: an empty
-                    // scan means the pipeline is momentarily narrower
-                    // than the pool, and hammering peer deque locks only
-                    // slows the workers that do hold work.
+                    // Bounded spin, then park: an empty scan means the
+                    // pipeline is momentarily narrower than the pool,
+                    // and hammering peer deque locks only slows the
+                    // workers that do hold work.
                     idle_rounds += 1;
                     if idle_rounds <= SPIN_ROUNDS {
                         thread::yield_now();
                     } else {
-                        let exp = u64::from(idle_rounds - SPIN_ROUNDS).min(6);
-                        let ts = trace::begin();
-                        thread::sleep(Duration::from_micros((1 << exp).min(MAX_PARK_US)));
-                        trace::end(TraceKind::Park, ts, idle_rounds, 0);
+                        park.park(idle_rounds, || {
+                            remaining.load(Ordering::SeqCst) != 0
+                                && !abort.load(Ordering::SeqCst)
+                                && deques.iter().all(|d| d.lock().unwrap().is_empty())
+                        });
                     }
                     continue;
                 };
@@ -371,8 +624,8 @@ impl WavefrontPool {
                                 if my_next.is_none() && chain > 0 {
                                     my_next = Some(nd);
                                 } else {
-                                    let owner = tasks.owner(x as usize, threads);
-                                    deques[owner].lock().unwrap().push_back(nd);
+                                    deques[owner(x as usize)].lock().unwrap().push_back(nd);
+                                    park.nudge();
                                 }
                             }
                         };
@@ -384,7 +637,9 @@ impl WavefrontPool {
                         for &x in sgraph.intra_successors(task) {
                             offer(x, sgraph.node(sweep, x as usize) as u32);
                         }
-                        remaining.fetch_sub(1, Ordering::Release);
+                        if remaining.fetch_sub(1, Ordering::SeqCst) == 1 {
+                            park.wake_all();
+                        }
                     }
                     Ok(Err(e)) => {
                         st.total.blocks += ran;
@@ -392,7 +647,8 @@ impl WavefrontPool {
                         if slot.is_none() {
                             *slot = Some(e);
                         }
-                        abort.store(true, Ordering::Release);
+                        abort.store(true, Ordering::SeqCst);
+                        park.wake_all();
                     }
                     Err(payload) => {
                         st.total.blocks += ran;
@@ -400,27 +656,27 @@ impl WavefrontPool {
                         if slot.is_none() {
                             *slot = Some(payload);
                         }
-                        abort.store(true, Ordering::Release);
+                        abort.store(true, Ordering::SeqCst);
+                        park.wake_all();
                     }
                 }
             }
             (state, st)
         };
 
-        let mut results: Vec<(S, WorkerStats)> = Vec::with_capacity(threads);
-        thread::scope(|s| {
-            let handles: Vec<_> = (1..threads)
-                .map(|w| s.spawn(move || worker_loop(w)))
-                .collect();
-            results.push(worker_loop(0));
-            for h in handles {
-                // Workers catch their own panics; a join error here means
-                // something escaped the protocol — re-raise it directly.
-                results.push(h.join().unwrap_or_else(|p| resume_unwind(p)));
-            }
-        });
+        let results: Vec<Mutex<Option<(S, WorkerStats)>>> =
+            (0..threads).map(|_| Mutex::new(None)).collect();
+        let body = |w: usize| *lock(&results[w]) = Some(worker_loop(w));
+        match crew {
+            Some(_) => self.crew.run(threads, &body),
+            None => body(0),
+        }
+        drop(crew);
         let wall_ns = start.map_or(0, |t| t.elapsed().as_nanos() as u64);
-        let (states, stats): (Vec<S>, Vec<WorkerStats>) = results.into_iter().unzip();
+        let (states, stats): (Vec<S>, Vec<WorkerStats>) = results
+            .into_iter()
+            .filter_map(|r| r.into_inner().unwrap_or_else(PoisonError::into_inner))
+            .unzip();
         states.into_iter().for_each(&mut merge);
         if let Some(payload) = panic_slot.into_inner().unwrap() {
             resume_unwind(payload);
@@ -908,6 +1164,137 @@ mod tests {
             tasks.all(|e| e.sweep == 0),
             "eager task events carry sweep tag 0"
         );
+    }
+
+    /// Drains `bundle` once on `pool`, counting the blocks run.
+    fn count_blocks(pool: &WavefrontPool, bundle: &ScheduleBundle) -> usize {
+        let count = AtomicUsize::new(0);
+        let work = |(): &mut (), _, _| {
+            count.fetch_add(1, Ordering::SeqCst);
+            Ok::<(), ()>(())
+        };
+        pool.try_drain(bundle, 1, || (), work, |()| {}).unwrap();
+        count.into_inner()
+    }
+
+    /// The message of a caught `panic!` payload.
+    fn message(payload: PanicPayload) -> String {
+        match payload.downcast::<String>() {
+            Ok(s) => *s,
+            Err(p) => p.downcast_ref::<&str>().map_or_else(String::new, |s| (*s).to_owned()),
+        }
+    }
+
+    #[test]
+    fn crew_survives_block_and_body_panics() {
+        let bundle = ScheduleBundle::new(&[4, 4], &[vec![-1i64, 0], vec![0, -1]]);
+        for (threads, scheduler) in both(&[2, 4]) {
+            let pool = WavefrontPool::with_opts(threads, Obs::off(), scheduler);
+            let at = format!("{scheduler:?} threads={threads}");
+            // A block panic is caught per task and re-raised on the
+            // caller, eager or in the second sweep of a batch.
+            for sweeps in [1, 2] {
+                let err = catch_unwind(AssertUnwindSafe(|| {
+                    let work = |(): &mut (), sweep, b: usize| {
+                        if sweep + 1 == sweeps && b == 5 {
+                            panic!("block {b} exploded");
+                        }
+                        Ok::<(), ()>(())
+                    };
+                    pool.try_drain(&bundle, sweeps, || (), work, |()| {}).unwrap();
+                }))
+                .expect_err("a block panic must propagate");
+                assert_eq!(message(err), "block 5 exploded", "{at} sweeps={sweeps}");
+                assert_eq!(count_blocks(&pool, &bundle), 16, "{at}: same pool drains again");
+            }
+            // A panic outside any task (the second worker's `init`) escapes
+            // the worker body, on the caller or on a crew thread.
+            let inits = AtomicUsize::new(0);
+            let err = catch_unwind(AssertUnwindSafe(|| {
+                let init = || {
+                    if inits.fetch_add(1, Ordering::SeqCst) == 1 {
+                        panic!("init exploded");
+                    }
+                };
+                let work = |(): &mut (), _, _| Ok::<(), ()>(());
+                pool.try_drain(&bundle, 1, init, work, |()| {}).unwrap();
+            }))
+            .expect_err("an escaped panic must propagate");
+            assert_eq!(message(err), "init exploded", "{at}");
+            assert_eq!(count_blocks(&pool, &bundle), 16, "{at}: same pool drains again");
+            assert_eq!(pool.live_workers()(), threads - 1, "{at}: no crew thread died");
+        }
+    }
+
+    #[test]
+    fn dropping_the_pool_joins_its_crew() {
+        let bundle = ScheduleBundle::new(&[4, 4], &[vec![-1i64, 0]]);
+        let pool = WavefrontPool::new(4);
+        let live = pool.live_workers();
+        assert_eq!(live(), 0, "spawned lazily");
+        assert_eq!(count_blocks(&pool, &bundle), 16);
+        assert_eq!(live(), 3, "threads - 1 crew workers");
+        let clone = pool.clone();
+        assert_eq!(count_blocks(&clone, &bundle), 16);
+        assert_eq!(live(), 3, "clones share the crew");
+        drop(pool);
+        assert_eq!(live(), 3, "a clone keeps the crew");
+        drop(clone);
+        assert_eq!(live(), 0, "the last drop joins every worker");
+    }
+
+    #[test]
+    fn a_held_crew_leaves_the_drain_to_the_caller() {
+        let bundle = ScheduleBundle::new(&[4, 4], &[vec![-1i64, 0], vec![0, -1]]);
+        let busy = |obs: &Obs| obs.snapshot().events.iter().any(|e| e.name == "crew-busy");
+        for scheduler in [Scheduler::Levels, Scheduler::Dataflow] {
+            // Two clones at once from two threads: the first holds the
+            // crew in block 0 until the second has finished alone.
+            let obs = Obs::new(instencil_obs::ObsLevel::Summary);
+            let pool = WavefrontPool::with_opts(2, obs.clone(), scheduler);
+            let (started, finished) = (AtomicBool::new(false), AtomicBool::new(false));
+            let clone = pool.clone();
+            let (count, other) = thread::scope(|s| {
+                let second = s.spawn(|| {
+                    while !started.load(Ordering::SeqCst) {
+                        thread::yield_now();
+                    }
+                    let n = count_blocks(&clone, &bundle);
+                    finished.store(true, Ordering::SeqCst);
+                    n
+                });
+                let count = AtomicUsize::new(0);
+                let work = |(): &mut (), _, b: usize| {
+                    if b == 0 {
+                        started.store(true, Ordering::SeqCst);
+                        while !finished.load(Ordering::SeqCst) {
+                            thread::yield_now();
+                        }
+                    }
+                    count.fetch_add(1, Ordering::SeqCst);
+                    Ok::<(), ()>(())
+                };
+                pool.try_drain(&bundle, 1, || (), work, |()| {}).unwrap();
+                (count.into_inner(), second.join().unwrap())
+            });
+            assert_eq!((count, other), (16, 16), "{scheduler:?}");
+            assert!(busy(&obs), "{scheduler:?}: the second drain reports the held crew");
+
+            // A drain nested in a block body of a drain on the same pool.
+            let obs = Obs::new(instencil_obs::ObsLevel::Summary);
+            let pool = WavefrontPool::with_opts(2, obs.clone(), scheduler);
+            let (outer, inner) = (AtomicUsize::new(0), AtomicUsize::new(0));
+            let work = |(): &mut (), _, b: usize| {
+                if b == 0 {
+                    inner.store(count_blocks(&pool, &bundle), Ordering::SeqCst);
+                }
+                outer.fetch_add(1, Ordering::SeqCst);
+                Ok::<(), ()>(())
+            };
+            pool.try_drain(&bundle, 1, || (), work, |()| {}).unwrap();
+            assert_eq!((outer.into_inner(), inner.into_inner()), (16, 16), "{scheduler:?}");
+            assert!(busy(&obs), "{scheduler:?}: the nested drain reports the held crew");
+        }
     }
 
     #[test]

@@ -67,9 +67,10 @@ pub enum TraceKind {
     /// worker, `b` = the victim's 1-based position in the thief's scan
     /// ring (worker `w` scans `w + 1, w + 2, …` wrapping). Instant event.
     Steal,
-    /// A backoff sleep after the spin budget was exhausted with no
-    /// runnable work. `a` = consecutive idle rounds so far. Duration
-    /// event covering the sleep.
+    /// A worker blocked after the spin budget was exhausted with no
+    /// runnable work, until a push, the drain's end or an abort woke it.
+    /// `a` = consecutive idle rounds so far. Duration event covering the
+    /// time blocked.
     Park,
     /// A runspec plan-cache hit. `a` = loop number, `b` =
     /// number of *consecutive* hits coalesced into this event.

@@ -44,7 +44,7 @@ pub enum Scheduler {
     Levels,
     /// Point-to-point execution of the block dependence graph: each
     /// block runs as soon as its own predecessors finish, on the
-    /// work-stealing workers of one `thread::scope` per execute op.
+    /// work-stealing workers of the pool's persistent crew.
     /// Bit-identical to [`Scheduler::Levels`] (enforced by `tests/engine_equiv.rs`);
     /// only wall-clock changes.
     Dataflow,
@@ -75,9 +75,10 @@ pub struct BlockGraph {
     /// `succ[succ_ptr[b]..succ_ptr[b + 1]]`, sorted ascending.
     succ_ptr: Vec<usize>,
     succ: Vec<u32>,
-    /// CSR predecessor lists (same layout). All predecessors of `b` have
-    /// flat index `< b` because every dependence offset is
-    /// lexicographically negative.
+    /// CSR predecessor lists (same layout), in `deps` order — ascending
+    /// only when `deps` is lex-sorted, as `blockdeps` produces it. All
+    /// predecessors of `b` have flat index `< b` because every
+    /// dependence offset is lexicographically negative.
     pred_ptr: Vec<usize>,
     pred: Vec<u32>,
 }
@@ -156,7 +157,9 @@ impl BlockGraph {
         &self.succ[self.succ_ptr[b]..self.succ_ptr[b + 1]]
     }
 
-    /// Predecessors of block `b`, ascending order; all `< b`.
+    /// Predecessors of block `b`, in the order of the dependence
+    /// offsets that reach them (ascending when the offsets are lex-sorted,
+    /// as [`crate::blockdeps`] returns them); all `< b`.
     pub fn predecessors(&self, b: usize) -> &[u32] {
         &self.pred[self.pred_ptr[b]..self.pred_ptr[b + 1]]
     }
@@ -719,6 +722,10 @@ mod tests {
             assert!(p.windows(2).all(|w| w[0] < w[1]), "pred({b}) not ascending");
             assert!(p.iter().all(|&q| (q as usize) < b), "preds must precede {b}");
         }
+        // Predecessors come in `deps` order: these offsets are not
+        // lex-sorted, so block 4 of a 2x3 grid lists them unsorted.
+        let g = BlockGraph::build(&[2, 3], &[vec![0, -1], vec![-1, 1], vec![-1, -1]]);
+        assert_eq!(g.predecessors(4), &[3, 2, 0]);
     }
 
     #[test]
