@@ -200,89 +200,65 @@ impl BufferView {
         Some((lo, hi))
     }
 
-    /// Resolves one run access to `(flat base, per-iteration flat
-    /// delta, flat lane stride)` in a single pass over the dimensions,
-    /// bounds-checking both run endpoints — per-dimension indices are
-    /// linear in the iteration, so in-bounds endpoints bound all `n`
-    /// iterations. Panics exactly like a scalar access at the offending
-    /// endpoint. A `lanes`-wide vector access advances its lanes along
-    /// the last dimension (matching `load_vector_into` /
-    /// `store_vector`), so both run endpoints are additionally checked
-    /// at last-dim index `+ (lanes − 1)`; per-lane plans are
-    /// `base + l · lane_stride`.
+    /// Resolves one run access — the same run repeated on `rows` rows of
+    /// a row nest, or `rows = 1` for a single run — in a single pass over
+    /// the dimensions. `i0`/`i1` are the access's indices at iterations 0
+    /// and 1 of the first row, `ir` at iteration 0 of the second row
+    /// (`i0` again for one row); per-dimension indices are affine in the
+    /// iteration and the row. A `lanes`-wide vector access advances its
+    /// lanes along the last dimension (matching `load_vector_into` /
+    /// `store_vector`). Returns `(flat base, per-iteration flat delta,
+    /// flat lane stride, flat advance per row)` after checking every
+    /// dimension at the corners — first and last row, first and last
+    /// iteration, lowest and highest lane — which bound every cell.
+    /// Panics exactly like a scalar access to the first out-of-range
+    /// corner.
     pub(crate) fn resolve_run_lanes(
         &self,
-        i0: &[i64],
-        i1: &[i64],
+        (i0, i1, ir): (&[i64], &[i64], &[i64]),
         n: usize,
+        rows: usize,
         lanes: usize,
-    ) -> (isize, isize, isize) {
+    ) -> (isize, isize, isize, isize) {
         debug_assert_eq!(i0.len(), self.rank(), "index rank mismatch");
-        let last = (n - 1) as i64;
-        let wide = (lanes - 1) as i64;
+        let (last, last_row, wide) = ((n - 1) as i64, (rows - 1) as i64, (lanes - 1) as i64);
         let inner = i0.len() - 1;
-        let mut base = self.base;
-        let mut delta = 0isize;
+        let (mut base, mut delta, mut row_delta) = (self.base, 0isize, 0isize);
         for d in 0..i0.len() {
             let local = i0[d] - self.origin[d];
-            if local < 0 || (local as usize) >= self.shape[d] {
-                self.oob(i0, d);
-            }
-            let step = i1[d] - i0[d];
-            let end = local + last * step;
-            if end < 0 || (end as usize) >= self.shape[d] {
-                self.oob_end(i0, i1, last, d);
-            }
-            if d == inner && wide > 0 {
-                // Highest lane of both endpoints: in-bounds corners
-                // bound every (iteration, lane) cell in between.
-                if (local + wide) as usize >= self.shape[d] {
-                    self.oob_lane(i0, wide, d);
-                }
-                if end + wide < 0 || (end + wide) as usize >= self.shape[d] {
-                    self.oob_end_lane(i0, i1, last, wide, d);
-                }
+            let (step, row_step) = (i1[d] - i0[d], ir[d] - i0[d]);
+            let (run, down) = (last * step, last_row * row_step);
+            let lane = if d == inner { wide } else { 0 };
+            let lo = local + run.min(0) + down.min(0);
+            let hi = local + run.max(0) + down.max(0) + lane;
+            if lo < 0 || hi >= self.shape[d] as i64 {
+                self.oob_corner((i0, i1, ir), last, last_row, wide);
             }
             base += local as isize * self.strides[d];
             delta += step as isize * self.strides[d];
+            row_delta += row_step as isize * self.strides[d];
         }
-        (base, delta, self.strides[inner])
+        (base, delta, self.strides[inner], row_delta)
     }
 
-    /// Outlined endpoint-violation path of [`Self::resolve_run`]:
-    /// reconstructs the full endpoint index so the panic reads exactly
-    /// like a scalar access to it.
+    /// Outlined violation path of [`Self::resolve_run_lanes`], keeping
+    /// the hot loop free of format machinery: panics like a scalar access
+    /// to the first out-of-range corner, rows in order.
     #[cold]
     #[inline(never)]
-    fn oob_end(&self, i0: &[i64], i1: &[i64], last: i64, d: usize) -> ! {
-        let end: Vec<i64> = i0
-            .iter()
-            .zip(i1)
-            .map(|(&a, &b)| a + last * (b - a))
-            .collect();
-        self.oob(&end, d);
-    }
-
-    /// Outlined lane-violation paths of [`Self::resolve_run_lanes`]:
-    /// panic like a scalar access to the highest lane's cell.
-    #[cold]
-    #[inline(never)]
-    fn oob_lane(&self, i0: &[i64], wide: i64, d: usize) -> ! {
-        let mut idx = i0.to_vec();
-        *idx.last_mut().unwrap() += wide;
-        self.oob(&idx, d);
-    }
-
-    #[cold]
-    #[inline(never)]
-    fn oob_end_lane(&self, i0: &[i64], i1: &[i64], last: i64, wide: i64, d: usize) -> ! {
-        let mut end: Vec<i64> = i0
-            .iter()
-            .zip(i1)
-            .map(|(&a, &b)| a + last * (b - a))
-            .collect();
-        *end.last_mut().unwrap() += wide;
-        self.oob(&end, d);
+    fn oob_corner(&self, (i0, i1, ir): (&[i64], &[i64], &[i64]), last: i64, last_row: i64, wide: i64) -> ! {
+        for row in [0, last_row] {
+            for t in [0, last] {
+                for lane in [0, wide] {
+                    let mut idx: Vec<i64> = (0..i0.len())
+                        .map(|d| i0[d] + t * (i1[d] - i0[d]) + row * (ir[d] - i0[d]))
+                        .collect();
+                    *idx.last_mut().unwrap() += lane;
+                    self.flat_index(&idx);
+                }
+            }
+        }
+        unreachable!("some corner of an out-of-range nest is out of range")
     }
 
     /// Raw non-atomic handle on the whole underlying allocation.

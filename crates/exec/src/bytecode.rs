@@ -35,9 +35,9 @@ use crate::buffer::BufferView;
 use crate::compile::{compile_program, BcCompileError, BcOptions};
 use crate::interp::ExecError;
 use crate::parallel::{self, WavefrontPool};
-use crate::runspec::exec::{exec_recurrent, exec_streamed, run_probe};
-use crate::runspec::plan::{build_plan, AccessPlan, RunPlan, RunScratch};
-use crate::runspec::{self, RunSpec};
+use crate::runspec::exec::{exec_plan, run_probe};
+use crate::runspec::plan::{advance_row, build_plan, enter_rows, AccessPlan, PlanSlot, RunScratch};
+use crate::runspec::{self, NestSpec, RunSpec};
 use crate::stats::ExecStats;
 use crate::value::RtVal;
 
@@ -261,6 +261,11 @@ pub(crate) enum Instr {
         /// specialized path first and falls back to the generic loop
         /// for short or unplannable runs.
         run: Option<Box<RunSpec>>,
+        /// Row nest (DESIGN.md §4f): present when the body steps
+        /// run-specialized loops over the rows of a tile. The executor
+        /// then probes, resolves and looks plans up once for all rows,
+        /// falling back to the per-row loop when the nest does not apply.
+        nest: Option<Box<NestSpec>>,
     },
     If {
         cond: u32,
@@ -797,12 +802,13 @@ impl BcCtx<'_> {
     }
 
     /// Returns a finished frame's run scratch to the engine pool, first
-    /// folding its plan-cache counters into the collector.
+    /// folding its plan-cache and short-run counters into the collector.
     fn retire(&self, regs: &mut Regs) {
         let mut rs = std::mem::take(&mut regs.rs);
         let builds = std::mem::take(&mut rs.builds);
         let reuses = std::mem::take(&mut rs.reuses);
-        self.pool.obs().count_plans(builds, reuses);
+        let short = std::mem::take(&mut rs.short_points);
+        self.pool.obs().count_runs(builds, reuses, short);
         self.scratch.lock().unwrap().push(rs);
     }
 
@@ -1010,6 +1016,7 @@ impl BcCtx<'_> {
                     loopback,
                     results,
                     run,
+                    nest,
                 } => {
                     let lb = regs.i[*lb as usize];
                     let ub = regs.i[*ub as usize];
@@ -1023,6 +1030,12 @@ impl BcCtx<'_> {
                             "run specialization requires a loop without iter args"
                         );
                         if self.exec_run(spec, lb, ub, step, *iv, regs, stats) {
+                            continue;
+                        }
+                    }
+                    if let Some(nest) = nest {
+                        let rows = (lb, ub, step, *iv);
+                        if self.exec_nest(func, nest, *body, rows, regs, stats) {
                             continue;
                         }
                     }
@@ -1237,7 +1250,12 @@ impl BcCtx<'_> {
     /// recomputes anyway — when the run is too short or cannot be
     /// planned (probe error, unset buffer); the caller then takes the
     /// generic point-by-point path, reproducing identical results,
-    /// statistics, and error behavior.
+    /// statistics, and error behavior. A run shorter than
+    /// [`runspec::MIN_RUN`] counts its points as short-run points.
+    ///
+    /// The per-run set-up — two probe passes, [`Self::resolve_run`] and
+    /// the plan look-up — is paid by every run taken here; a row nest
+    /// ([`Self::exec_nest`]) pays it once for all rows of a tile.
     ///
     /// Out-of-range accesses panic here (at the run endpoints) instead
     /// of at the offending iteration; success paths are bit-identical.
@@ -1257,6 +1275,7 @@ impl BcCtx<'_> {
         }
         let n = ((ub - lb + step - 1) / step) as usize;
         if n < runspec::MIN_RUN {
+            regs.rs.short_points += n as u64;
             return false;
         }
         // Negative verdict: a loop that failed probing or buffer
@@ -1264,17 +1283,22 @@ impl BcCtx<'_> {
         // depend on the spec and the frame's buffer bindings, not on
         // n), so skip straight to the always-correct generic path
         // instead of re-paying the probe + resolve cost each run.
-        let slot = spec.slot as usize;
-        if regs.rs.slots.len() <= slot {
-            regs.rs.slots.resize_with(slot + 1, RunPlan::default);
-        }
-        if regs.rs.slots[slot].declined || !Self::resolve_run(spec, n, lb, step, iv, regs) {
-            regs.rs.slots[slot].declined = true;
+        if slot_of(&mut regs.rs, spec).declined || !Self::resolve_run(spec, n, lb, step, iv, regs) {
+            slot_of(&mut regs.rs, spec).declined = true;
             return false;
         }
+        self.look_up_plan(spec, n, regs);
+        let slot = &mut regs.rs.slots[spec.slot as usize];
+        exec_plan(&mut slot.plans[0], &slot.tab, &spec.acc_map, n);
+        add_run_stats(spec, n as u64, stats);
+        true
+    }
+
+    /// The plan look-up of a resolved run of `n` iterations
+    /// ([`build_plan`]), counted as a build or a reuse and traced.
+    fn look_up_plan(&self, spec: &RunSpec, n: usize, regs: &mut Regs) {
         let rs = &mut *regs.rs;
-        let plan = &mut rs.slots[slot];
-        let hit = build_plan(spec, n, &regs.f, &regs.v, plan);
+        let hit = build_plan(spec, n, &regs.f, &regs.v, &mut rs.slots[spec.slot as usize]);
         *if hit { &mut rs.reuses } else { &mut rs.builds } += 1;
         if self.pool.obs().detail_enabled() {
             // Consecutive hits coalesce into one event (a tail compare,
@@ -1286,48 +1310,16 @@ impl BcCtx<'_> {
                 trace::instant(TraceKind::PlanMiss, spec.slot, n as u32);
             }
         }
-        let mut t0 = 0usize;
-        while t0 < n {
-            let m = (n - t0).min(runspec::CHUNK);
-            exec_streamed(&plan.stream, &mut plan.arena, t0, m);
-            exec_recurrent(
-                &plan.rec_steady,
-                &plan.prelude,
-                &plan.tab,
-                &spec.acc_map,
-                &mut plan.arena,
-                t0,
-                m,
-            );
-            t0 += m;
-        }
-        let n = n as u64;
-        stats.loads += spec.loads_per_iter * n;
-        stats.stores += spec.stores_per_iter * n;
-        stats.scalar_flops += spec.flops_per_iter * n;
-        stats.index_ops += spec.index_ops_per_iter * n;
-        stats.vector_loads += spec.vloads_per_iter * n;
-        stats.vector_stores += spec.vstores_per_iter * n;
-        stats.vector_flops += spec.vflops_per_iter * n;
-        true
     }
 
     /// Probes the body's integer/constant subset at `lb`, then
-    /// re-evaluates only its iv-dependent part at `lb + step`; the index
-    /// deltas resolve every merged access-table entry to flat base at
-    /// t = 0, per-iteration flat delta, and raw tile view, into the
-    /// loop's slot. The probe counts no stats — the caller bulk-adds
-    /// counts identical to n generic iterations. Returns `false` on a
-    /// probe error (e.g. division by zero) or an unset buffer, so the
-    /// generic loop raises it with exact accounting.
-    ///
-    /// Both run endpoints go through the checked indexing path — every
-    /// per-dimension index is linear in t, so in-bounds endpoints (at
-    /// lanes 0 and `lanes − 1`) bound all n iterations of every member
-    /// access. The table collapses lane-unrolled access groups, so the
-    /// per-run resolve/compare/patch cost is per *group*, not per
-    /// unrolled op.
-    fn resolve_run(spec: &RunSpec, n: usize, lb: i64, step: i64, iv: u32, regs: &mut Regs) -> bool {
+    /// re-evaluates only its iv-dependent part at `lb + step`, leaving
+    /// the index snapshots in `idx0`/`idx1` of the frame's run scratch.
+    /// The probe counts no stats — the caller bulk-adds counts identical
+    /// to n generic iterations. Returns `false` on a probe error (e.g.
+    /// division by zero) or an unset buffer, so the generic loop raises
+    /// it with exact accounting.
+    fn probe_run(spec: &RunSpec, lb: i64, step: i64, iv: u32, regs: &mut Regs) -> bool {
         let Regs { f, i, v, b, rs, .. } = regs;
         i[iv as usize] = lb;
         if !run_probe(&spec.probe, i, f, v, b) {
@@ -1341,30 +1333,186 @@ impl BcCtx<'_> {
         }
         rs.idx1.clear();
         rs.idx1.extend(spec.idx_regs.iter().map(|&r| i[r as usize]));
-        let tab = &mut rs.slots[spec.slot as usize].tab;
+        true
+    }
+
+    /// Probes one run ([`Self::probe_run`]) and resolves it
+    /// ([`Self::resolve_table`]) into the loop's slot. Returns `false`
+    /// when probing fails or a buffer is unset.
+    ///
+    /// At the benchmark's small-tile SOR geometry (4-point runs) this
+    /// probe-and-resolve plus the plan look-up were 37–50 % of a sweep,
+    /// which is what a row nest ([`Self::exec_nest`]) amortizes over the
+    /// rows of a tile.
+    fn resolve_run(spec: &RunSpec, n: usize, lb: i64, step: i64, iv: u32, regs: &mut Regs) -> bool {
+        Self::probe_run(spec, lb, step, iv, regs) && Self::resolve_table(spec, n, 1, regs)
+    }
+
+    /// Executes a row nest: the outer loop `rows = (lb, ub, step, iv)`
+    /// over tape `body`, whose run-specialized inner loops are probed,
+    /// resolved and looked up once for all rows ([`NestSpec`]); the rows
+    /// then run back to back, each inner loop's bases advanced by their
+    /// row deltas, and the statistics of all rows are added at once.
+    /// Returns `false` — the caller then runs the rows one by one, which
+    /// reproduces results, statistics and errors exactly — for fewer
+    /// than two rows, an inner loop with a non-positive step, a short
+    /// (`0 < n < MIN_RUN`) or declined inner run, a probe error or unset
+    /// buffer, or accesses sharing an allocation with different row
+    /// deltas (their aliasing would change from row to row).
+    ///
+    /// Every access is bounds-checked at the four corners of the nest
+    /// (first and last row, first and last iteration, at its lowest and
+    /// highest lane) through the checked indexing path before any row
+    /// runs: indices are affine in the row and the iteration, so the
+    /// corners bound every cell. An out-of-range nest panics there, as
+    /// the per-row path panics at the first out-of-range run.
+    fn exec_nest(
+        &self,
+        func: &BcFunc,
+        nest: &NestSpec,
+        body: u32,
+        (lb, ub, step, iv): (i64, i64, i64, u32),
+        regs: &mut Regs,
+        stats: &mut ExecStats,
+    ) -> bool {
+        let rows = if ub > lb { ((ub - lb + step - 1) / step) as usize } else { 0 };
+        if rows < 2 {
+            return false;
+        }
+        let inner = || {
+            func.tapes[body as usize].code.iter().filter_map(|instr| match instr {
+                Instr::For {
+                    lb,
+                    ub,
+                    step,
+                    iv,
+                    run: Some(spec),
+                    ..
+                } => Some((*lb, *ub, *step, *iv, &**spec)),
+                _ => None,
+            })
+        };
+        regs.rs.nest_n.clear();
+        for (ilb, iub, istep, iiv, spec) in inner() {
+            let Regs { f, i, v, b, .. } = regs;
+            i[iv as usize] = lb;
+            if !run_probe(&nest.outer, i, f, v, b) {
+                return false;
+            }
+            let (l, u, s) = (i[ilb as usize], i[iub as usize], i[istep as usize]);
+            if s <= 0 {
+                return false;
+            }
+            let n = if u > l { ((u - l + s - 1) / s) as usize } else { 0 };
+            if n > 0
+                && (n < runspec::MIN_RUN
+                    || slot_of(&mut regs.rs, spec).declined
+                    || !Self::resolve_nest(spec, nest, n, rows, (l, s, iiv), (lb, step, iv), regs))
+            {
+                return false;
+            }
+            regs.rs.nest_n.push(n);
+        }
+        for (k, (.., spec)) in inner().enumerate() {
+            let n = regs.rs.nest_n[k];
+            if n > 0 {
+                self.look_up_plan(spec, n, regs);
+                enter_rows(&mut regs.rs.slots[spec.slot as usize], &spec.acc_map);
+            }
+        }
+        for row in 0..rows {
+            for (k, (.., spec)) in inner().enumerate() {
+                let rs = &mut *regs.rs;
+                let n = rs.nest_n[k];
+                if n == 0 {
+                    continue;
+                }
+                let slot = &mut rs.slots[spec.slot as usize];
+                if row > 0 {
+                    advance_row(slot);
+                }
+                exec_plan(&mut slot.plans[0], &slot.tab, &spec.acc_map, n);
+            }
+        }
+        stats.index_ops += nest.index_ops_per_row * rows as u64;
+        for (k, (.., spec)) in inner().enumerate() {
+            add_run_stats(spec, (regs.rs.nest_n[k] * rows) as u64, stats);
+        }
+        true
+    }
+
+    /// Resolves one inner loop of a row nest over all `rows` rows: probes
+    /// the run at the first row (the outer probe has just run there) and
+    /// iteration 0 at the next row, then resolves the table over all
+    /// rows ([`Self::resolve_table`]). Returns `false` on a probe error,
+    /// an unset buffer, or two entries on one allocation with different
+    /// row deltas.
+    #[allow(clippy::too_many_arguments)]
+    fn resolve_nest(
+        spec: &RunSpec,
+        nest: &NestSpec,
+        n: usize,
+        rows: usize,
+        (lb, step, iv): (i64, i64, u32),
+        (row_lb, row_step, row_iv): (i64, i64, u32),
+        regs: &mut Regs,
+    ) -> bool {
+        if !Self::probe_run(spec, lb, step, iv, regs) {
+            return false;
+        }
+        let Regs { f, i, v, b, rs, .. } = regs;
+        i[row_iv as usize] = row_lb + row_step;
+        i[iv as usize] = lb;
+        if !run_probe(&nest.outer, i, f, v, b) || !run_probe(&spec.probe, i, f, v, b) {
+            return false;
+        }
+        rs.idxr.clear();
+        rs.idxr.extend(spec.idx_regs.iter().map(|&r| i[r as usize]));
+        Self::resolve_table(spec, n, rows, regs)
+    }
+
+    /// Resolves every merged access-table entry of `spec` from the
+    /// frame's index snapshots — `idx0`/`idx1` at iterations 0 and 1 of
+    /// the first row, and for `rows > 1` `idxr` at iteration 0 of the
+    /// next row — into the loop's slot: flat base at t = 0,
+    /// per-iteration flat delta, raw tile view, and row delta. Every
+    /// entry goes through the checked indexing path at its corners
+    /// ([`BufferView::resolve_run_lanes`]): indices are affine in the
+    /// iteration and the row, so in-bounds corners (at lanes 0 and
+    /// `lanes − 1`) bound every cell of every member access. The table
+    /// collapses lane-unrolled access groups, so the resolve/compare/
+    /// patch cost is per *group*, not per unrolled op. Returns `false`
+    /// on an unset buffer, or when two entries on one allocation have
+    /// different row deltas (the aliasing would change from row to row).
+    fn resolve_table(spec: &RunSpec, n: usize, rows: usize, regs: &mut Regs) -> bool {
+        let Regs { b, rs, .. } = regs;
+        let RunScratch {
+            idx0,
+            idx1,
+            idxr,
+            slots,
+            ..
+        } = &mut **rs;
+        let PlanSlot { tab, row_delta, .. } = &mut slots[spec.slot as usize];
         tab.clear();
+        row_delta.clear();
         let mut cursor = 0usize;
         for (ti, a) in spec.accs.iter().enumerate() {
             let Some(view) = b[a.buf as usize].as_ref() else {
                 return false;
             };
-            let i0 = &rs.idx0[cursor..cursor + a.idx.len()];
-            let i1 = &rs.idx1[cursor..cursor + a.idx.len()];
+            let span = cursor..cursor + a.idx.len();
             cursor += a.idx.len();
-            let (base, delta, lane_stride) = view.resolve_run_lanes(i0, i1, n, a.lanes as usize);
-            #[cfg(debug_assertions)]
-            if a.store {
-                crate::buffer::overlap::pin_storage(view.storage());
+            let (i0, i1) = (&idx0[span.clone()], &idx1[span.clone()]);
+            let ir = if rows > 1 { &idxr[span] } else { i0 };
+            let (base, delta, lane_stride, d) =
+                view.resolve_run_lanes((i0, i1, ir), n, rows, a.lanes as usize);
+            let tile = view.tile_view().id();
+            if rows > 1 && tab.iter().zip(&*row_delta).any(|(p, &pd)| p.tile.id() == tile && pd != d) {
+                return false;
             }
-            tab.push(AccessPlan {
-                base,
-                delta,
-                lane_stride,
-                lanes: a.lanes,
-                tile: view.tile_view(),
-                pos: ti as u32,
-                store: a.store,
-            });
+            tab.push(access_plan(view, a, ti, base, delta, lane_stride));
+            row_delta.push(d);
         }
         true
     }
@@ -1418,6 +1566,51 @@ impl BcCtx<'_> {
             },
         )
     }
+}
+
+/// The plan slot of `spec`'s loop, grown on first use.
+fn slot_of<'r>(rs: &'r mut RunScratch, spec: &RunSpec) -> &'r mut PlanSlot {
+    let slot = spec.slot as usize;
+    if rs.slots.len() <= slot {
+        rs.slots.resize_with(slot + 1, PlanSlot::default);
+    }
+    &mut rs.slots[slot]
+}
+
+/// The resolved plan of access-table entry `ti` (`a`) on `view`.
+fn access_plan(
+    view: &BufferView,
+    a: &runspec::SpecAccess,
+    ti: usize,
+    base: isize,
+    delta: isize,
+    lane_stride: isize,
+) -> AccessPlan {
+    #[cfg(debug_assertions)]
+    if a.store {
+        crate::buffer::overlap::pin_storage(view.storage());
+    }
+    AccessPlan {
+        base,
+        delta,
+        lane_stride,
+        lanes: a.lanes,
+        tile: view.tile_view(),
+        pos: ti as u32,
+        store: a.store,
+    }
+}
+
+/// Adds the statistics of `points` iterations of `spec`'s loop body —
+/// what the generic loop would have counted point by point.
+fn add_run_stats(spec: &RunSpec, points: u64, stats: &mut ExecStats) {
+    stats.loads += spec.loads_per_iter * points;
+    stats.stores += spec.stores_per_iter * points;
+    stats.scalar_flops += spec.flops_per_iter * points;
+    stats.index_ops += spec.index_ops_per_iter * points;
+    stats.vector_loads += spec.vloads_per_iter * points;
+    stats.vector_stores += spec.vstores_per_iter * points;
+    stats.vector_flops += spec.vflops_per_iter * points;
 }
 
 #[cfg(test)]

@@ -669,6 +669,13 @@ impl FnCompiler<'_> {
                 } else {
                     None
                 };
+                // A loop over the rows of a tile whose body only steps
+                // its specialized inner loops becomes a row nest.
+                let nest = if self.opts.specialize_runs && run.is_none() && inits.is_empty() {
+                    runspec::analyze_nest(&self.tapes, body_tape, iv).map(Box::new)
+                } else {
+                    None
+                };
                 code.push(Instr::For {
                     lb,
                     ub,
@@ -679,6 +686,7 @@ impl FnCompiler<'_> {
                     loopback,
                     results: res_moves,
                     run,
+                    nest,
                 });
             }
             OpCode::If => {

@@ -98,7 +98,8 @@ impl<'m> Runner<'m> {
     /// engine, so that error is surfaced instead of masked by fallback.
     ///
     /// # Errors
-    /// Returns an error only for [`BcCompileError::Malformed`] modules.
+    /// Returns an error for modules that fail the IR verifier and for
+    /// [`BcCompileError::Malformed`] modules.
     pub fn new(module: &'m Module, engine: Engine, threads: usize) -> Result<Self, ExecError> {
         Self::with_obs(module, engine, threads, Obs::off())
     }
@@ -109,7 +110,7 @@ impl<'m> Runner<'m> {
     /// timings through the bytecode engine's pool.
     ///
     /// # Errors
-    /// Returns an error only for [`BcCompileError::Malformed`] modules.
+    /// As [`Runner::new`].
     pub fn with_obs(
         module: &'m Module,
         engine: Engine,
@@ -123,9 +124,12 @@ impl<'m> Runner<'m> {
     /// `threads == 0` means "auto": one worker per available hardware
     /// thread (resolved here, nowhere else). Both knobs drive the
     /// bytecode engine's pool; the interpreter runs sequentially.
+    /// Either engine first runs the IR verifier: a module that fails it
+    /// (a region missing its terminator, a use before its definition)
+    /// would otherwise run to a wrong answer or panic mid-call.
     ///
     /// # Errors
-    /// Returns an error only for [`BcCompileError::Malformed`] modules.
+    /// As [`Runner::new`].
     pub fn with_opts(
         module: &'m Module,
         engine: Engine,
@@ -133,6 +137,9 @@ impl<'m> Runner<'m> {
         scheduler: Scheduler,
         obs: Obs,
     ) -> Result<Self, ExecError> {
+        module
+            .verify()
+            .map_err(|e| ExecError::new(format!("module `{}`: {e}", module.name)))?;
         let interp = RunnerInner::Interp {
             module,
             interp: Interpreter::new(),

@@ -9,7 +9,7 @@
 
 use std::collections::{HashMap, HashSet};
 
-use super::{FRef, ProbeOp, RunOp, RunSpec, SpecAccess};
+use super::{FRef, NestSpec, ProbeOp, RunOp, RunSpec, SpecAccess};
 use crate::bytecode::{IOp, Instr, Tape};
 
 /// Backward-liveness pruning of a probe program. `seed` (plus `extra`)
@@ -700,6 +700,117 @@ pub(crate) fn analyze(
         vstores_per_iter: vstores,
         vflops_per_iter: vflops,
     })
+}
+
+/// Recognizes a row nest: the loop whose body is tape `body` (induction
+/// register `iv`, no iter args) qualifies when the body holds only
+/// integer arithmetic (`ConstI`, `BinI`, `MoveI`, `memref.dim`) and at
+/// least one run-specialized `For`, such that
+/// - every integer register stays affine in `iv`: no product of two
+///   row-varying values, no division, remainder, min or max of one, and
+///   in the inner bodies no product of a row-varying and an
+///   iteration-varying value and no int-to-float conversion of a
+///   row-varying one (so every access index is affine in the row and the
+///   per-iteration delta is the same on every row);
+/// - every inner loop's `lb`/`ub`/`step` is invariant in `iv`.
+///
+/// That accesses sharing an allocation also share a row delta depends
+/// on the buffers, so the executor checks it per nest. `None` leaves
+/// the loop on the per-row path; it is no decline (each inner loop still
+/// runs specialized), so it emits no event.
+pub(crate) fn analyze_nest(tapes: &[Tape], body: u32, iv: u32) -> Option<NestSpec> {
+    let tape = &tapes[body as usize];
+    if !tape.term.is_empty() {
+        return None;
+    }
+    let mut rows: HashSet<u32> = HashSet::from([iv]);
+    let mut outer: Vec<ProbeOp> = Vec::new();
+    let mut index_ops = 0u64;
+    let mut loops = 0usize;
+    for instr in &tape.code {
+        if !row_affine(instr, &mut rows, &mut HashSet::new()) {
+            return None;
+        }
+        match instr {
+            Instr::ConstI { dst, v } => outer.push(ProbeOp::CI { dst: *dst, v: *v }),
+            Instr::MoveI { dst, src } => outer.push(ProbeOp::Mov {
+                dst: *dst,
+                src: *src,
+            }),
+            Instr::Dim { dst, buf, dim } => outer.push(ProbeOp::Dim {
+                dst: *dst,
+                buf: *buf,
+                dim: *dim,
+            }),
+            Instr::BinI { op, dst, a, b } => {
+                index_ops += 1;
+                outer.push(ProbeOp::Bin {
+                    op: *op,
+                    dst: *dst,
+                    a: *a,
+                    b: *b,
+                });
+            }
+            Instr::For {
+                lb,
+                ub,
+                step,
+                iv: inner_iv,
+                body,
+                run: Some(_),
+                ..
+            } => {
+                if [lb, ub, step].into_iter().any(|r| rows.contains(r)) {
+                    return None;
+                }
+                let mut cols = HashSet::from([*inner_iv]);
+                let inner = &tapes[*body as usize].code;
+                if !inner.iter().all(|i| row_affine(i, &mut rows, &mut cols)) {
+                    return None;
+                }
+                loops += 1;
+            }
+            _ => return None,
+        }
+    }
+    (loops > 0).then(|| NestSpec {
+        outer: outer.into(),
+        index_ops_per_row: index_ops,
+    })
+}
+
+/// Tracks one instruction of a row nest: `rows` holds the integer
+/// registers that vary with the outer row, `cols` those that vary with
+/// the inner induction value. Returns `false` when the instruction makes
+/// a value non-affine in the row (see [`analyze_nest`]).
+fn row_affine(instr: &Instr, rows: &mut HashSet<u32>, cols: &mut HashSet<u32>) -> bool {
+    let (dst, row, col) = match instr {
+        Instr::ConstI { dst, .. } | Instr::Dim { dst, .. } => (*dst, false, false),
+        Instr::MoveI { dst, src } => (*dst, rows.contains(src), cols.contains(src)),
+        Instr::BinI { op, dst, a, b } => {
+            let (ra, rb) = (rows.contains(a), rows.contains(b));
+            let (ca, cb) = (cols.contains(a), cols.contains(b));
+            let affine = match op {
+                IOp::Add | IOp::Sub => true,
+                IOp::Mul => !((ra && (rb || cb)) || (rb && ca)),
+                IOp::FloorDiv | IOp::CeilDiv | IOp::Rem | IOp::Min | IOp::Max => !(ra || rb),
+            };
+            if !affine {
+                return false;
+            }
+            (*dst, ra || rb, ca || cb)
+        }
+        Instr::SiToFp { src, .. } => return !rows.contains(src),
+        _ => return true,
+    };
+    for (set, on) in [(rows, row), (cols, col)] {
+        if on {
+            set.insert(dst);
+        } else {
+            set.remove(&dst);
+        }
+    }
+    true
 }
 
 #[cfg(test)]

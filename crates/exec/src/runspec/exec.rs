@@ -13,15 +13,16 @@
 //! justified by Eq. (3) schedule disjointness and policed by the
 //! debug-mode [`crate::buffer::overlap`] checker.
 
-use super::plan::AccessPlan;
-use super::ProbeOp;
+use super::plan::{AccessPlan, RunPlan};
+use super::{ProbeOp, CHUNK};
 use crate::buffer::TileView;
 use crate::bytecode::{FOp, FUn, IOp};
 
 /// The address record of one planned access op: lane `l` of iteration
 /// `t` touches `base + t·delta + l·lane_stride` of `tile`. `acc` is the
 /// op's first access-plan index, through which the plan refreshes
-/// `base` and `tile` on plan-cache hits.
+/// `base` and `tile` on plan-cache hits; `row` is the base's advance per
+/// row when the loop runs inside a row nest.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct Addr {
     pub base: isize,
@@ -29,6 +30,7 @@ pub(crate) struct Addr {
     pub lane_stride: isize,
     pub tile: TileView,
     pub acc: u16,
+    pub row: isize,
 }
 
 /// Source operand of a streamed (op-at-a-time) operation.
@@ -202,10 +204,23 @@ pub(crate) struct ChainLane {
     pub store: Option<Addr>,
 }
 
+/// Executes one planned run of `n` iterations over the resolved access
+/// table `tab`, chunk by chunk: the streamed ops over the chunk, then
+/// its recurrent tail.
+pub(crate) fn exec_plan(plan: &mut RunPlan, tab: &[AccessPlan], map: &[(u16, u16)], n: usize) {
+    let mut t0 = 0usize;
+    while t0 < n {
+        let m = (n - t0).min(CHUNK);
+        exec_streamed(&plan.stream, &mut plan.arena, t0, m);
+        exec_recurrent(&plan.rec_steady, &plan.prelude, tab, map, &mut plan.arena, t0, m);
+        t0 += m;
+    }
+}
+
 /// Executes the streamed plan for in-chunk iterations `[t0, t0 + m)`:
 /// one operation at a time over the whole chunk, into/over stripe rows
 /// of constant stride [`CHUNK`](super::CHUNK) — the loops LLVM autovectorizes.
-pub(crate) fn exec_streamed(stream: &[SOp], stripe: &mut [f64], t0: usize, m: usize) {
+fn exec_streamed(stream: &[SOp], stripe: &mut [f64], t0: usize, m: usize) {
     for op in stream {
         match op {
             SOp::Load { row, lanes, at } => {
@@ -441,7 +456,7 @@ fn un_chunk<F: Fn(f64) -> f64>(stripe: &mut [f64], m: usize, dst: u32, lanes: u1
 /// steady tape is valid from t = 0: before the first chunk, the
 /// `prelude` seeds each k = −1 forward cell with the pre-run memory
 /// value its load would have read (see `plan::build_steady`).
-pub(crate) fn exec_recurrent(
+fn exec_recurrent(
     steady: &[ROp],
     prelude: &[(u32, u16)],
     tab: &[AccessPlan],

@@ -13,18 +13,32 @@
 //! per phase:
 //!
 //! * [`analyze`] (tape-compile time) recognizes a straight-line stencil
-//!   point body and produces the [`RunSpec`] defined here;
+//!   point body and produces the [`RunSpec`] defined here, and
+//!   recognizes a *row nest* — a loop over the rows of a tile whose
+//!   body only steps run-specialized loops — producing a [`NestSpec`];
 //! * [`plan`] (each time the loop executes) resolves the run's accesses
 //!   and classifies every op as streamed or recurrent, into a
-//!   [`plan::RunPlan`] cached per loop;
+//!   [`plan::RunPlan`]; each loop keeps its two most recent plans,
+//!   keyed by run length;
 //! * [`exec`] runs that plan chunk by chunk, bit-identical to the
 //!   point-by-point interpreter.
+//!
+//! A run is short — 4 points per row at the benchmark's `[4,4]` SOR
+//! tiles — and its set-up (two probe passes, a checked resolve of every
+//! access entry, a plan look-up) cost 37–50 % of such a sweep. A row
+//! nest pays that set-up once per tile: the nest probes the first two
+//! rows, resolves each entry once with the nest's corners
+//! bounds-checked, looks each plan up once, and then runs the rows back
+//! to back, advancing each base by its row delta. It declines to the
+//! per-row path for fewer than two rows, inner runs shorter than
+//! [`MIN_RUN`], and accesses that share an allocation with different
+//! row deltas (see `BcCtx::exec_nest` in the bytecode engine).
 
 mod analyze;
 pub(crate) mod exec;
 pub(crate) mod plan;
 
-pub(crate) use analyze::analyze;
+pub(crate) use analyze::{analyze, analyze_nest};
 
 use crate::bytecode::{FOp, FUn, IOp};
 
@@ -179,6 +193,23 @@ pub(crate) struct RunSpec {
     pub vloads_per_iter: u64,
     pub vstores_per_iter: u64,
     pub vflops_per_iter: u64,
+}
+
+/// Compile-time description of a row nest (DESIGN.md §4f), attached to
+/// the outer `Instr::For`: a loop without iter args over the rows of a
+/// tile whose body is integer arithmetic affine in its own induction
+/// value around one or more run-specialized loops whose bounds do not
+/// depend on the row, and whose access indices are affine in the row.
+/// The executor then probes, resolves and looks the plan up once per
+/// nest instead of once per row.
+#[derive(Clone, Debug)]
+pub(crate) struct NestSpec {
+    /// The outer body's integer instructions in body order, run at the
+    /// first two rows to obtain the inner loops' bounds and index values
+    /// (the inner loops define no register these read).
+    pub outer: Box<[ProbeOp]>,
+    /// Index ops the outer body counts per row, bulk-added per nest.
+    pub index_ops_per_row: u64,
 }
 
 /// One entry of the merged access table: the lane-0 member's index

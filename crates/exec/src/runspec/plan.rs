@@ -14,8 +14,10 @@
 //!
 //! The streamed ops become a [`SOp`] stripe program, the recurrent ones
 //! an [`ROp`] tape in body order, with store-to-load forwarding and
-//! chain fusion applied. Each loop caches its plan and re-validates it
-//! per run, so the steady case is a base patch, not a rebuild.
+//! chain fusion applied. Each loop caches its two most recent plans,
+//! keyed by run length, and re-validates the matching one per look-up,
+//! so the steady case is a base patch, not a rebuild; inside a row nest
+//! one look-up serves every row ([`advance_row`]).
 //!
 //! [`BufferView`]: crate::buffer::BufferView
 
@@ -60,18 +62,19 @@ impl AccessPlan {
             lane_stride: self.lane_stride,
             tile: self.tile,
             acc,
+            row: 0,
         }
     }
 }
 
-/// Reusable per-frame run state: one [`RunPlan`] slot per specialized
+/// Reusable per-frame run state: one [`PlanSlot`] per specialized
 /// loop of the program, indexed by [`RunSpec::slot`] (the loop number
 /// the bytecode compiler assigns), plus the per-run index snapshots.
 /// Lives in the register file so repeated runs (every tile row of every
 /// block) reuse the allocations; cloning a frame for a wavefront worker
 /// hands out *empty* scratch instead of copying plans that are only
 /// valid mid-run. The engine additionally pools scratch across calls:
-/// each slot's plan re-validates by run length, aliasing signature, and
+/// each cached plan re-validates by run length, aliasing signature, and
 /// invariant values before any cached state is trusted (and
 /// [`patch_bases`] refreshes every pointer from the current frame), so a
 /// warm scratch from a previous call turns the per-call cold plan build
@@ -80,15 +83,23 @@ impl AccessPlan {
 /// other's plans.
 #[derive(Debug, Default)]
 pub(crate) struct RunScratch {
-    /// Index values of the probe at iteration 0 / iteration 1.
+    /// Index values of the probe at iteration 0 / iteration 1, and (for
+    /// a row nest) at iteration 0 of the next outer row.
     pub idx0: Vec<i64>,
     pub idx1: Vec<i64>,
+    pub idxr: Vec<i64>,
+    /// Run length of each run-specialized loop of the row nest being
+    /// executed, in body order (0: the loop runs no iteration).
+    pub nest_n: Vec<usize>,
     /// Plan slots, grown on first use of a loop number.
-    pub slots: Vec<RunPlan>,
-    /// Plans built (cache misses) and reused (cache hits) since the
-    /// engine last drained these counters into its collector.
+    pub slots: Vec<PlanSlot>,
+    /// Plan look-ups that built (cache misses) and reused (cache hits) a
+    /// plan, and the points of specialized loops whose runs were too
+    /// short for the fast rung (`n < MIN_RUN`), since the engine last
+    /// drained these counters into its collector.
     pub builds: u64,
     pub reuses: u64,
+    pub short_points: u64,
 }
 
 impl Clone for RunScratch {
@@ -97,10 +108,13 @@ impl Clone for RunScratch {
     }
 }
 
-/// The cached plan of one specialized loop, and the scratch that builds
-/// it.
+/// The cache of one specialized loop: its resolved access table and its
+/// two most recently used plans, keyed by run length — a loop whose runs
+/// alternate between two lengths (a full tile and a ragged one, or a
+/// vector body and its epilogue-sized remainder) keeps both plans warm
+/// instead of rebuilding at every switch.
 #[derive(Debug, Default)]
-pub(crate) struct RunPlan {
+pub(crate) struct PlanSlot {
     /// The loop failed probing or buffer resolution in this frame. The
     /// generic path is always a correct (just slower) fallback, so once a
     /// loop declines at run time it stops paying the probe + snapshot
@@ -110,11 +124,22 @@ pub(crate) struct RunPlan {
     /// per-run artifact (`pos` holds the table index). Signature
     /// comparison and base patching run over these few entries.
     pub tab: Vec<AccessPlan>,
+    /// Per-entry flat base advance from one outer row to the next, when
+    /// the loop runs inside a row nest (parallel to `tab`).
+    pub row_delta: Vec<isize>,
+    /// Most recently used plan first.
+    pub plans: [RunPlan; 2],
+}
+
+/// One cached plan of a specialized loop, and the scratch that builds
+/// it.
+#[derive(Debug, Default)]
+pub(crate) struct RunPlan {
     /// Expanded per-op access plans, indexed by
-    /// `RunOp::{Load,Store}::acc` — rebuilt from `tab` only on plan
-    /// cache misses (classification, forwarding, and hazard analysis
+    /// `RunOp::{Load,Store}::acc` — rebuilt from the slot's table only on
+    /// plan cache misses (classification, forwarding, and hazard analysis
     /// consume exactly what per-op resolution used to produce). Stale
-    /// on cache hits: every hit-path consumer goes through `tab`.
+    /// on cache hits: every hit-path consumer goes through the table.
     pub acc: Vec<AccessPlan>,
     /// Streamed plan of the current run.
     pub stream: Vec<SOp>,
@@ -185,23 +210,66 @@ fn table_sig(tab: &[AccessPlan], sig: &mut Vec<EntrySig>, reps: &mut Vec<u16>) {
     }
 }
 
-/// Classifies every op of `spec` as streamed or recurrent for a run of
-/// `n` iterations and builds the execution plans into `plan` (`plan.tab`
-/// must already hold this run's resolved access table). Run-invariant
-/// operands are materialized from the float (`fregs`) and vector
-/// (`vregs`) register files. Returns whether the cached plan was reused.
+/// The plan look-up of one run of `n` iterations (`slot.tab` must
+/// already hold the run's resolved access table): makes the slot's plan
+/// for length `n` the current one (`slot.plans[0]`), reusing it when its
+/// signature and invariant values still match, else rebuilding it in
+/// place of the less recently used plan. Run-invariant operands are
+/// materialized from the float (`fregs`) and vector (`vregs`) register
+/// files. Returns whether the cached plan was reused.
 pub(crate) fn build_plan(
     spec: &RunSpec,
     n: usize,
     fregs: &[f64],
     vregs: &[f64],
-    scratch: &mut RunPlan,
+    slot: &mut PlanSlot,
 ) -> bool {
-    let ops = &spec.ops;
-    if plan_cache_hit(n, fregs, vregs, scratch) {
-        patch_bases(scratch, &spec.acc_map);
+    let PlanSlot { tab, plans, .. } = slot;
+    if plans[0].n != n {
+        // The other plan becomes current: reused if it was built for
+        // `n`, rebuilt below otherwise (evicting the older length).
+        plans.swap(0, 1);
+    }
+    let plan = &mut plans[0];
+    if plan_cache_hit(n, tab, fregs, vregs, plan) {
+        patch_bases(tab, plan, &spec.acc_map);
         return true;
     }
+    compile_plan(spec, n, tab, fregs, vregs, plan);
+    false
+}
+
+/// Prepares the current plan of a row nest's loop (looked up for the
+/// nest's first row) to step through the rows: each address record
+/// takes its table entry's row delta. The plan stays valid on every row
+/// — the nest checked that accesses sharing an allocation share a row
+/// delta, so the aliasing signature is the same on every row.
+pub(crate) fn enter_rows(slot: &mut PlanSlot, map: &[(u16, u16)]) {
+    let row_delta = &slot.row_delta;
+    for_each_addr(&mut slot.plans[0], |at| at.row = row_delta[map[at.acc as usize].0 as usize]);
+}
+
+/// Advances a row nest's loop to its next row: every resolved base
+/// moves by its row delta, in the table and in the current plan.
+pub(crate) fn advance_row(slot: &mut PlanSlot) {
+    for (a, d) in slot.tab.iter_mut().zip(&slot.row_delta) {
+        a.base += d;
+    }
+    for_each_addr(&mut slot.plans[0], |at| at.base += at.row);
+}
+
+/// Classifies every op of `spec` as streamed or recurrent for a run of
+/// `n` iterations over the resolved table `tab` and builds the
+/// execution plans into `scratch`.
+fn compile_plan(
+    spec: &RunSpec,
+    n: usize,
+    tab: &[AccessPlan],
+    fregs: &[f64],
+    vregs: &[f64],
+    scratch: &mut RunPlan,
+) {
+    let ops = &spec.ops;
     let t_compile = trace::begin();
     // Expand the merged table into per-op access plans: classification,
     // forwarding, and hazard analysis below see exactly what per-op
@@ -215,7 +283,7 @@ pub(crate) fn build_plan(
             _ => continue,
         };
         let (t, l) = spec.acc_map[acc as usize];
-        let p = &scratch.tab[t as usize];
+        let p = &tab[t as usize];
         scratch.acc.push(AccessPlan {
             base: p.base + l as isize * p.lane_stride,
             delta: p.delta,
@@ -430,7 +498,7 @@ pub(crate) fn build_plan(
     // equality). No allocation address enters the key, so each row of
     // each fused tile, with its fresh temporary, hits.
     scratch.n = n;
-    table_sig(&scratch.tab, &mut scratch.sig, &mut scratch.reps);
+    table_sig(tab, &mut scratch.sig, &mut scratch.reps);
     scratch.inv_vals.clear();
     scratch.inv_vvals.clear();
     // Registers whose value at plan time is a literal the probe itself
@@ -498,7 +566,6 @@ pub(crate) fn build_plan(
     scratch.inv_vvals.sort_unstable_by_key(|&(r, _)| r);
     scratch.inv_vvals.dedup_by_key(|&mut (r, _)| r);
     trace::end(TraceKind::PlanCompile, t_compile, spec.slot, n as u32);
-    false
 }
 
 /// Fuses `Bin(Slot(x), Slot(y))` with the loads producing rows `x` and
@@ -595,8 +662,13 @@ fn fuse_stream_loads(scratch: &mut RunPlan) {
 /// class at the cached offset, and the class leaders must sit on
 /// pairwise distinct allocations — together exactly the cached
 /// partition of the table into allocations.
-fn plan_cache_hit(n: usize, fregs: &[f64], vregs: &[f64], scratch: &RunPlan) -> bool {
-    let tab = &scratch.tab;
+fn plan_cache_hit(
+    n: usize,
+    tab: &[AccessPlan],
+    fregs: &[f64],
+    vregs: &[f64],
+    scratch: &RunPlan,
+) -> bool {
     if scratch.n != n {
         return false;
     }
@@ -640,31 +712,34 @@ fn plan_cache_hit(n: usize, fregs: &[f64], vregs: &[f64], scratch: &RunPlan) -> 
 /// so the cached `TileView` copies may be handles to buffers that are
 /// gone. After patching, every pointer the hit path dereferences comes
 /// from the current frame's live buffer registers.
-fn patch_bases(scratch: &mut RunPlan, map: &[(u16, u16)]) {
-    let tab = &scratch.tab;
-    let patch = |at: &mut Addr| {
+fn patch_bases(tab: &[AccessPlan], scratch: &mut RunPlan, map: &[(u16, u16)]) {
+    for_each_addr(scratch, |at| {
         let (t, l) = map[at.acc as usize];
         let p = &tab[t as usize];
         (at.base, at.tile) = (p.base + l as isize * p.lane_stride, p.tile);
-    };
+    });
+}
+
+/// Calls `f` on every address record the plan executes. `rec_first` is
+/// never executed (analysis input only), so only the steady tape's
+/// records are visited.
+fn for_each_addr(scratch: &mut RunPlan, mut f: impl FnMut(&mut Addr)) {
     for op in &mut scratch.stream {
         match op {
-            SOp::Load { at, .. } => patch(at),
+            SOp::Load { at, .. } => f(at),
             SOp::BinLoads { a, b, .. } => {
-                patch(a);
-                patch(b);
+                f(a);
+                f(b);
             }
             _ => {}
         }
     }
-    // `rec_first` is never executed (analysis input only), so only the
-    // steady tape's bases need patching.
     for op in &mut scratch.rec_steady {
         match op {
-            ROp::Load { at, .. } | ROp::Store { at, .. } => patch(at),
+            ROp::Load { at, .. } | ROp::Store { at, .. } => f(at),
             ROp::Chain { lanes, .. } => {
                 for at in lanes.iter_mut().filter_map(|l| l.store.as_mut()) {
-                    patch(at);
+                    f(at);
                 }
             }
             _ => {}

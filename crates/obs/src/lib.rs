@@ -212,6 +212,9 @@ pub struct Recorded {
     pub plan_builds: u64,
     /// Run-specialization plans reused (plan-cache hits).
     pub plan_reuses: u64,
+    /// Points of run-specialized loops whose runs were too short for the
+    /// fast rung and ran on the generic loop.
+    pub short_run_points: u64,
 }
 
 struct Inner {
@@ -341,16 +344,18 @@ impl Obs {
         }
     }
 
-    /// Adds run-specialization plan-cache counts. Engines count per frame
-    /// and flush here when the frame finishes, so the totals are exact
-    /// at every level — unlike the `plan-miss` trace events, which a
-    /// full ring drops.
-    pub fn count_plans(&self, builds: u64, reuses: u64) {
+    /// Adds run-specialization counts: plan-cache misses and hits, and
+    /// the points of runs too short for the fast rung. Engines count per
+    /// frame and flush here when the frame finishes, so the totals are
+    /// exact at every level — unlike the `plan-miss` trace events, which
+    /// a full ring drops.
+    pub fn count_runs(&self, builds: u64, reuses: u64, short_points: u64) {
         let Some(inner) = &self.0 else { return };
-        if builds + reuses > 0 {
+        if builds + reuses + short_points > 0 {
             let mut data = inner.data.lock().unwrap();
             data.plan_builds += builds;
             data.plan_reuses += reuses;
+            data.short_run_points += short_points;
         }
     }
 
@@ -499,7 +504,7 @@ mod tests {
             sweeps: 1,
             levels: vec![],
         });
-        obs.count_plans(3, 5);
+        obs.count_runs(3, 5, 2);
         assert_eq!(obs.snapshot(), Recorded::default());
         assert_eq!(obs.active_depth(), 0);
     }

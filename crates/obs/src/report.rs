@@ -39,8 +39,9 @@ use crate::{Obs, ObsLevel, Recorded, SpanRecord};
 /// re-typing a key. (v2 added `histograms` and `trace`; v3 added the
 /// per-event `sweep` tag on trace events — the batch lane of cross-sweep
 /// temporal tiling — and made `wavefronts[].sweeps` count sweeps, not
-/// executions; v4 added `engine.plan_builds` and `engine.plan_reuses`.)
-pub const SCHEMA_VERSION: u32 = 4;
+/// executions; v4 added `engine.plan_builds` and `engine.plan_reuses`;
+/// v5 added `engine.short_run_points`.)
+pub const SCHEMA_VERSION: u32 = 5;
 
 /// The exact top-level keys of a version-[`SCHEMA_VERSION`] report.
 pub const TOP_LEVEL_KEYS: [&str; 11] = [
@@ -89,6 +90,9 @@ pub struct EngineReport {
     pub plan_builds: u64,
     /// Run-specialization plans reused (plan-cache hits).
     pub plan_reuses: u64,
+    /// Points of run-specialized loops that ran on the generic loop
+    /// because their run was shorter than the fast rung's minimum.
+    pub short_run_points: u64,
 }
 
 impl Default for EngineReport {
@@ -102,6 +106,7 @@ impl Default for EngineReport {
             calls: 0,
             plan_builds: 0,
             plan_reuses: 0,
+            short_run_points: 0,
         }
     }
 }
@@ -392,6 +397,10 @@ impl RunReport {
                 "plan_reuses".into(),
                 Json::num(self.engine.plan_reuses as f64),
             ),
+            (
+                "short_run_points".into(),
+                Json::num(self.engine.short_run_points as f64),
+            ),
         ]);
         let wavefronts = self
             .wavefronts
@@ -613,8 +622,8 @@ impl RunReport {
                 );
             }
         }
-        let plans = self.engine.plan_builds + self.engine.plan_reuses;
-        if self.engine.actual != "none" || self.engine.requested != "none" || plans > 0 {
+        let runs = self.engine.plan_builds + self.engine.plan_reuses + self.engine.short_run_points;
+        if self.engine.actual != "none" || self.engine.requested != "none" || runs > 0 {
             let _ = writeln!(out, "\n-- engine --");
             let _ = writeln!(
                 out,
@@ -636,8 +645,8 @@ impl RunReport {
             );
             let _ = writeln!(
                 out,
-                "run plans: {} built, {} reused",
-                self.engine.plan_builds, self.engine.plan_reuses
+                "run plans: {} built, {} reused; {} short-run point(s)",
+                self.engine.plan_builds, self.engine.plan_reuses, self.engine.short_run_points
             );
         }
         for g in &self.wavefronts {
@@ -812,6 +821,7 @@ fn build_engine(rec: &Recorded) -> EngineReport {
     let mut engine = EngineReport {
         plan_builds: rec.plan_builds,
         plan_reuses: rec.plan_reuses,
+        short_run_points: rec.short_run_points,
         ..EngineReport::default()
     };
     for s in &rec.spans {
@@ -1007,7 +1017,7 @@ pub fn validate_report_json(text: &str) -> Result<(), String> {
             return Err(format!("`engine.{field}` missing"));
         }
     }
-    for field in ["plan_builds", "plan_reuses"] {
+    for field in ["plan_builds", "plan_reuses", "short_run_points"] {
         if engine.get(field).and_then(Json::as_f64).is_none() {
             return Err(format!("`engine.{field}` must be a number"));
         }
@@ -1257,16 +1267,22 @@ mod tests {
     fn plan_counts_reach_json_and_text_outside_the_trace_ring() {
         // Summary level: no trace ring exists, the counts still arrive.
         let obs = Obs::new(ObsLevel::Summary);
-        obs.count_plans(2, 40);
-        obs.count_plans(1, 7);
+        obs.count_runs(2, 40, 9);
+        obs.count_runs(1, 7, 3);
         let report = obs.report();
         assert_eq!(
-            (report.engine.plan_builds, report.engine.plan_reuses),
-            (3, 47)
+            (
+                report.engine.plan_builds,
+                report.engine.plan_reuses,
+                report.engine.short_run_points
+            ),
+            (3, 47, 12)
         );
         assert!(report.trace.is_empty());
         assert!(
-            report.to_text().contains("run plans: 3 built, 47 reused"),
+            report
+                .to_text()
+                .contains("run plans: 3 built, 47 reused; 12 short-run point(s)"),
             "{}",
             report.to_text()
         );
@@ -1275,11 +1291,16 @@ mod tests {
         let engine = Json::parse(&text).unwrap().get("engine").unwrap().clone();
         assert_eq!(engine.get("plan_builds").and_then(Json::as_f64), Some(3.0));
         assert_eq!(engine.get("plan_reuses").and_then(Json::as_f64), Some(47.0));
-        // A document without the counts is a version-3 document.
-        let old = text.replacen("\"plan_reuses\":47", "\"old\":0", 1);
-        assert!(validate_report_json(&old)
-            .unwrap_err()
-            .contains("plan_reuses"));
+        assert_eq!(engine.get("short_run_points").and_then(Json::as_f64), Some(12.0));
+        // A document without a count is an older-version document.
+        for (key, field) in [("\"plan_reuses\":47", "plan_reuses"), ("\"short_run_points\":12", "short_run_points")] {
+            let old = text.replacen(key, "\"old\":0", 1);
+            assert!(validate_report_json(&old).unwrap_err().contains(field));
+        }
+        // Short runs alone still open the engine section of the text.
+        let short_only = Obs::new(ObsLevel::Summary);
+        short_only.count_runs(0, 0, 5);
+        assert!(short_only.report().to_text().contains("5 short-run point(s)"));
     }
 
     #[test]

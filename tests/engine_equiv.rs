@@ -551,22 +551,36 @@ fn plan_cache_key_tracks_aliasing_not_allocations() {
 /// stencil and the `T += dT` update must all specialize (no
 /// `runspec-decline`), reproduce the interpreter's bits and counters at
 /// 1 and 2 workers, and — at 1 worker, where one frame serves every
-/// block — build no more plans than the module has loops.
+/// block — build no more plans than the module has loops. On
+/// `[1,20,30,70]` the 68 interior columns split as 64 + 4, so runs
+/// alternate between two lengths; a plan slot keyed by run length keeps
+/// both, at most two builds per innermost loop.
 #[test]
 fn heat3d_fused_vector_rung_matches_interpreter() {
     let module = kernels::heat3d_module();
-    let shape = [1usize, 20, 30, 66];
-    let fresh = || -> Vec<BufferView> { (0..3).map(|_| seeded(&shape)).collect() };
-    for (name, opts) in [
+    for (name, opts, shape) in [
         (
             "tr2",
             PipelineOptions::tr2(vec![8, 12, 64], vec![4, 12, 64]),
+            [1usize, 20, 30, 66],
         ),
         (
             "tr4",
             PipelineOptions::tr4(vec![8, 12, 64], vec![4, 12, 64]),
+            [1, 20, 30, 66],
+        ),
+        (
+            "tr2",
+            PipelineOptions::tr2(vec![8, 12, 64], vec![4, 12, 64]),
+            [1, 20, 30, 70],
+        ),
+        (
+            "tr4",
+            PipelineOptions::tr4(vec![8, 12, 64], vec![4, 12, 64]),
+            [1, 20, 30, 70],
         ),
     ] {
+        let fresh = || -> Vec<BufferView> { (0..3).map(|_| seeded(&shape)).collect() };
         let compiled = compile(&module, &opts).expect("heat3d compiles");
         let loops: usize = compiled
             .module
@@ -579,10 +593,28 @@ fn heat3d_fused_vector_rung_matches_interpreter() {
                 n
             })
             .sum();
+        let innermost: usize = compiled
+            .module
+            .funcs()
+            .iter()
+            .map(|f| {
+                let body = &f.body;
+                let mut n = 0;
+                body.walk(|op| {
+                    let op = body.op(op);
+                    let has_loop = |r: &instencil::ir::RegionId| {
+                        let block = body.region(*r).blocks[0];
+                        body.block(block).ops.iter().any(|&o| body.op(o).opcode == OpCode::For)
+                    };
+                    n += usize::from(op.opcode == OpCode::For && !op.regions.iter().any(has_loop));
+                });
+                n
+            })
+            .sum();
         let bufs = fresh();
         let stats_i = interpret(&compiled.module, "heat_step", &as_args(&bufs), 2);
         for threads in [1usize, 2] {
-            let label = format!("heat3d fused {name} threads={threads}");
+            let label = format!("heat3d fused {name} {shape:?} threads={threads}");
             let obs = Obs::new(ObsLevel::Summary);
             let mut eng =
                 BytecodeEngine::compile_with_obs(&compiled.module, threads, obs.clone()).unwrap();
@@ -610,6 +642,10 @@ fn heat3d_fused_vector_rung_matches_interpreter() {
                 assert!(
                     builds <= loops as u64,
                     "{label}: {builds} builds for {loops} loops"
+                );
+                assert!(
+                    builds <= 2 * innermost as u64,
+                    "{label}: {builds} builds for {innermost} innermost loops"
                 );
             }
         }
@@ -721,4 +757,179 @@ fn recurrence_shapes_match_interpreter() {
         assert!(declines.is_empty(), "{name}: {declines:?}");
         assert_eq!(report.engine.plan_builds, 1, "{name}: one specialized run");
     }
+}
+
+/// Plan look-ups (builds + reuses) and short-run points of the first
+/// run report of `obs`.
+fn run_counts(obs: &Obs) -> (u64, u64) {
+    let engine = obs.report().engine;
+    (engine.plan_builds + engine.plan_reuses, engine.short_run_points)
+}
+
+/// Runs `sweeps` sweeps of `func` as one `call_sweeps` batch on the
+/// run-specialized engine at 1 and 2 workers and checks bits and
+/// counters against as many interpreter calls; returns the plan
+/// look-ups and short-run points of the 1-worker run.
+fn check_batches(module: &Module, func: &str, shape: &[usize], sweeps: usize, what: &str) -> (u64, u64) {
+    let fresh = || -> Vec<BufferView> { (0..2).map(|_| seeded(shape)).collect() };
+    let bufs = fresh();
+    let stats_i = interpret(module, func, &as_args(&bufs), sweeps);
+    let mut counts = (0, 0);
+    for threads in [1usize, 2] {
+        let label = format!("{what} k={sweeps} threads={threads}");
+        let obs = Obs::new(ObsLevel::Summary);
+        let mut eng = BytecodeEngine::compile_with_obs(module, threads, obs.clone()).unwrap();
+        let got = fresh();
+        eng.call_sweeps(func, as_args(&got), sweeps).unwrap();
+        for (i, (e, g)) in bufs.iter().zip(&got).enumerate() {
+            assert_bits_equal(&e.to_vec(), &g.to_vec(), &format!("{label} buffer {i}"));
+        }
+        assert_eq!(stats_i, eng.stats, "{label}: engines must count identically");
+        if threads == 1 {
+            counts = run_counts(&obs);
+        }
+    }
+    counts
+}
+
+/// The row nest at the benchmark's small-tile geometry: SOR and gs5
+/// (scalar, vf4, vf8) at `[8,8]`/`[4,4]` and at ragged `[8,8]`/`[3,5]`,
+/// on 65² and 66² grids, eager and batched, at 1 and 2 workers —
+/// interior tiles run as nests, ragged and short ones row by row, and
+/// every mix must reproduce the interpreter's bits and counters.
+#[test]
+fn row_nests_match_interpreter_on_small_tiles() {
+    let kernels: [(&str, &str, Module); 2] = [
+        ("sor", "sor", kernels::sor_module(1.5)),
+        ("gs5", "gs5", kernels::gauss_seidel_5pt_module()),
+    ];
+    for (name, func, module) in &kernels {
+        let vfs: &[Option<usize>] = if *name == "gs5" { &[None, Some(4), Some(8)] } else { &[None] };
+        for &vf in vfs {
+            for tile in [vec![4, 4], vec![3, 5]] {
+                let opts = PipelineOptions::tr2(vec![8, 8], tile.clone()).vectorize(vf);
+                let compiled = compile(module, &opts).expect("compiles");
+                for n in [65usize, 66] {
+                    for sweeps in [1usize, 3] {
+                        let what = format!("{name} vf={vf:?} tile={tile:?} {n}²");
+                        check_batches(&compiled.module, func, &[1, n, n], sweeps, &what);
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// One eager SOR sweep on 65² at `[8,8]`/`[4,4]` on one worker looks a
+/// plan up once per 4-wide tile, not once per row: 63 interior columns
+/// make 15 tiles of 4 points and one of 3 per tile row, 16 tile rows
+/// make 240 tiles of 4-point runs (945 row runs on the per-row path),
+/// and the 63 rows of the 3-wide tiles fall off the rung as short runs.
+#[test]
+fn sor_small_tiles_look_plans_up_once_per_tile() {
+    let compiled = compile(
+        &kernels::sor_module(1.5),
+        &PipelineOptions::tr2(vec![8, 8], vec![4, 4]),
+    )
+    .expect("sor compiles");
+    let (look_ups, short) = check_batches(&compiled.module, "sor", &[1, 65, 65], 1, "sor 65²");
+    assert!(look_ups <= 240, "{look_ups} plan look-ups");
+    assert_eq!(short, 63 * 3, "short-run points");
+}
+
+/// A 2-D nest over one allocation, `u[i, j] = f(u[r·i + s, j])` for
+/// `i ∈ [0, rows)`, `j ∈ [0, cols)`: the row index is scaled in the
+/// outer body, so read and write advance by different row deltas when
+/// `r ≠ 1`. With `per_row`, the outer body also defines a float
+/// constant, which is not integer arithmetic: the loop is no row nest.
+fn strided_nest(rows: usize, r: i64, s: i64, per_row: bool) -> Module {
+    let mut module = Module::new("nest");
+    let m2 = Type::memref_dyn(Type::F64, 2);
+    let mut fb = FuncBuilder::new("f", vec![m2], vec![]);
+    let u = fb.arg(0);
+    let c0 = fb.const_index(0);
+    let c1 = fb.const_index(1);
+    let n_rows = fb.const_index(rows as i64);
+    let cols = fb.mem_dim(u, 1);
+    fb.build_for(c0, n_rows, c1, vec![], |fb, i, _| {
+        let (cr, cs) = (fb.const_index(r), fb.const_index(s));
+        if per_row {
+            fb.const_f64(2.0);
+        }
+        let scaled = fb.muli(i, cr);
+        let src = fb.addi(scaled, cs);
+        fb.build_for(c0, cols, c1, vec![], |fb, j, _| {
+            let v = fb.mem_load(u, &[src, j]);
+            let half = fb.const_f64(0.5);
+            let one = fb.const_f64(1.0);
+            let w = fb.mulf(v, half);
+            let x = fb.addf(w, one);
+            fb.mem_store(x, u, &[i, j]);
+            vec![]
+        });
+        vec![]
+    });
+    fb.ret(vec![]);
+    module.push_func(fb.finish());
+    module.verify().unwrap();
+    module
+}
+
+/// A nest whose read `u[2i, j]` and write `u[i, j]` share an allocation
+/// but not a row delta would change its aliasing from row to row, so it
+/// takes the per-row path (one plan look-up per row) and still matches
+/// the interpreter; `u[i + 4, j]` shares the write's row delta and runs
+/// as one nest (one look-up), unless its outer body is not integer
+/// arithmetic.
+#[test]
+fn row_nest_declines_when_aliasing_changes_per_row() {
+    const ROWS: usize = 4;
+    for (r, s, per_row, look_ups) in [
+        (2, 0, false, ROWS as u64),
+        (1, 4, false, 1),
+        (1, 4, true, ROWS as u64),
+    ] {
+        let module = strided_nest(ROWS, r, s, per_row);
+        let shape = [2 * ROWS, 9];
+        let expect = seeded(&shape);
+        let mut interp = Interpreter::new();
+        interp.call(&module, "f", vec![RtVal::Buf(expect.clone())]).unwrap();
+        let obs = Obs::new(ObsLevel::Summary);
+        let mut eng = BytecodeEngine::compile_with_obs(&module, 1, obs.clone()).unwrap();
+        let got = seeded(&shape);
+        eng.call("f", vec![RtVal::Buf(got.clone())]).unwrap();
+        let what = format!("u[{r}i + {s}, j]");
+        assert_bits_equal(&expect.to_vec(), &got.to_vec(), &what);
+        assert_eq!(interp.stats, eng.stats, "{what}: engines must count identically");
+        assert_eq!(run_counts(&obs).0, look_ups, "{what}: plan look-ups");
+    }
+}
+
+/// The panic message of `f`, which must panic.
+fn panic_message(f: impl FnOnce()) -> String {
+    let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f))
+        .expect_err("an out-of-range access must panic");
+    payload
+        .downcast_ref::<String>()
+        .cloned()
+        .or_else(|| payload.downcast_ref::<&str>().map(|s| (*s).to_owned()))
+        .unwrap_or_default()
+}
+
+/// A nest whose last row reads one row past the buffer panics before
+/// running a row, with the message the per-row path gives for the same
+/// access.
+#[test]
+fn out_of_range_row_nest_panics_like_the_per_row_path() {
+    const ROWS: usize = 4;
+    let run = |per_row: bool| {
+        let module = strided_nest(ROWS, 1, 1, per_row);
+        panic_message(|| {
+            let mut eng = BytecodeEngine::compile(&module).unwrap();
+            let _ = eng.call("f", vec![RtVal::Buf(seeded(&[ROWS, 9]))]);
+        })
+    };
+    let nest = run(false);
+    assert_eq!(nest, "index [4, 0] out of bounds (dim 0: valid [0, 4))");
+    assert_eq!(nest, run(true));
 }
