@@ -51,9 +51,9 @@ echo "==> cargo test (tier-1: default-members cover the whole workspace)"
 cargo test $OFFLINE -q
 # The benchmark runs the run-specialized loops' release codegen, which
 # the debug run above never executes: check engine equivalence there too,
-# and the SOR solves that drive the benchmark's [8,8]/[4,4] geometry
-# through `run_until_converged`.
-cargo test $OFFLINE -q --release --test engine_equiv --test sor
+# the SOR solves that drive the benchmark's [8,8]/[4,4] geometry
+# through `run_until_converged`, and the Euler solver's 1e-10 oracle.
+cargo test $OFFLINE -q --release --test engine_equiv --test sor --test euler
 
 echo "==> cargo clippy -D warnings (+ warning-free rustdoc)"
 cargo clippy $OFFLINE --workspace --all-targets -- -D warnings

@@ -29,7 +29,7 @@ use std::collections::{HashMap, HashSet};
 
 use instencil_ir::attr::AttrMap;
 use instencil_ir::{
-    Body, CmpPred, Func, FuncBuilder, Module, OpCode, OpId, PassError, RegionId, Type, ValueId,
+    Body, Func, FuncBuilder, Module, OpCode, OpId, PassError, RegionId, Type, ValueId,
 };
 use instencil_pattern::{StencilPattern, Sweep};
 
@@ -244,33 +244,6 @@ fn emit_for(
         vec![],
         AttrMap::new(),
         vec![region],
-    );
-    r
-}
-
-/// Emits `scf.if cond { then }` with no results / else branch empty.
-fn emit_if(
-    fb: &mut FuncBuilder,
-    cond: ValueId,
-    then: impl FnOnce(&mut FuncBuilder) -> Result<(), PassError>,
-) -> Result<(), PassError> {
-    let then_region = fb.body_mut().add_region();
-    let then_block = fb.body_mut().add_block(then_region);
-    let saved = fb.insertion_block();
-    fb.set_insertion_block(then_block);
-    let r = then(fb);
-    fb.create(OpCode::Yield, vec![], vec![], AttrMap::new(), vec![]);
-    let else_region = fb.body_mut().add_region();
-    let else_block = fb.body_mut().add_block(else_region);
-    fb.set_insertion_block(else_block);
-    fb.create(OpCode::Yield, vec![], vec![], AttrMap::new(), vec![]);
-    fb.set_insertion_block(saved);
-    fb.create(
-        OpCode::If,
-        vec![cond],
-        vec![],
-        AttrMap::new(),
-        vec![then_region, else_region],
     );
     r
 }
@@ -941,107 +914,130 @@ fn lower_face_iterator(
             fhi.push(fb.minsi(whi[d], ghi[d]));
         }
     }
-    emit_face_loops(
-        fb,
+    // Face `f` updates its left cell iff `f ≥ wlo` and its right cell
+    // iff `f < whi − 1`, so only the first and last face can fail a
+    // test: `a_hi = min(max(wlo, flo), fhi)` and
+    // `m_hi = max(min(whi − 1, fhi), a_hi)` split `[flo, fhi)` into
+    // right-only, both-cell and left-only faces. The faces of
+    // `[flo, a_hi)` at or past `whi − 1` touch no cell (they exist only
+    // when the window is empty), so the right-only loop stops there.
+    let last = fb.subi(whi[axis], one);
+    let a = fb.maxsi(wlo[axis], flo[axis]);
+    let a_hi = fb.minsi(a, fhi[axis]);
+    let r_hi = fb.minsi(a_hi, last);
+    let m = fb.minsi(last, fhi[axis]);
+    let m_hi = fb.maxsi(m, a_hi);
+    let peel = [
+        (flo[axis], r_hi, Cells::Right),
+        (a_hi, m_hi, Cells::Both),
+        (m_hi, fhi[axis], Cells::Left),
+    ];
+    let nest = FaceNest {
         src,
         region,
         x,
         b,
         axis,
         nb_var,
-        &flo,
-        &fhi,
-        &wlo,
-        &whi,
-        0,
-        &mut Vec::new(),
-    )
+        flo,
+        fhi,
+        peel,
+    };
+    nest.emit(fb, &mut Vec::new(), Cells::Both)
 }
 
-#[allow(clippy::too_many_arguments)]
-fn emit_face_loops(
-    fb: &mut FuncBuilder,
-    src: &Body,
+/// Which cells of a face receive its flux.
+#[derive(Clone, Copy)]
+enum Cells {
+    Left,
+    Right,
+    Both,
+}
+
+/// A face iterator's loop nest: one loop per dimension over the faces
+/// `[flo, fhi)`, except the face axis, which runs as three consecutive
+/// guard-free loops (`peel`). Each of the three holds the deeper loops,
+/// so the faces still run in ascending row-major order and every `B`
+/// cell receives its contributions in the same order as in the
+/// structured op.
+struct FaceNest<'a> {
+    src: &'a Body,
     region: RegionId,
     x: ValueId,
     b: ValueId,
     axis: usize,
     nb_var: usize,
-    flo: &[ValueId],
-    fhi: &[ValueId],
-    wlo: &[ValueId],
-    whi: &[ValueId],
-    depth: usize,
-    idx: &mut Vec<ValueId>,
-) -> Result<(), PassError> {
-    let k = flo.len();
-    if depth == k {
-        // Face between cell `idx` (left) and `idx + e_axis` (right).
+    flo: Vec<ValueId>,
+    fhi: Vec<ValueId>,
+    peel: [(ValueId, ValueId, Cells); 3],
+}
+
+impl FaceNest<'_> {
+    fn emit(
+        &self,
+        fb: &mut FuncBuilder,
+        idx: &mut Vec<ValueId>,
+        cells: Cells,
+    ) -> Result<(), PassError> {
+        let depth = idx.len();
+        if depth == self.flo.len() {
+            self.emit_face(fb, idx, cells);
+            return Ok(());
+        }
         let one = fb.const_index(1);
-        let mut right = idx.clone();
-        right[axis] = fb.addi(idx[axis], one);
-        let mut args = Vec::with_capacity(2 * nb_var);
-        for cell in [&idx.clone()[..], &right[..]] {
-            for v in 0..nb_var {
+        let mut level = |fb: &mut FuncBuilder, lo, hi, cells| {
+            emit_for(fb, lo, hi, one, |fb, iv| {
+                idx.push(iv);
+                let r = self.emit(fb, idx, cells);
+                idx.pop();
+                r
+            })
+        };
+        if depth == self.axis {
+            for (lo, hi, cells) in self.peel {
+                level(fb, lo, hi, cells)?;
+            }
+            Ok(())
+        } else {
+            level(fb, self.flo[depth], self.fhi[depth], cells)
+        }
+    }
+
+    /// The face between cell `idx` (left) and `idx + e_axis` (right):
+    /// `left += flux`, `right -= flux` on the cells `cells` names.
+    fn emit_face(&self, fb: &mut FuncBuilder, idx: &[ValueId], cells: Cells) {
+        let one = fb.const_index(1);
+        let mut right = idx.to_vec();
+        right[self.axis] = fb.addi(idx[self.axis], one);
+        let mut args = Vec::with_capacity(2 * self.nb_var);
+        for cell in [idx, &right[..]] {
+            for v in 0..self.nb_var {
                 let vc = fb.const_index(v as i64);
                 let mut full = vec![vc];
                 full.extend_from_slice(cell);
-                args.push(fb.mem_load(x, &full));
+                args.push(fb.mem_load(self.x, &full));
             }
         }
-        let flux = inline_region(fb, src, region, &args);
-        // Guarded accumulation: left += flux (if left in window), right -=
-        // flux (if right in window). Only the axis coordinate can leave
-        // the window.
-        let left_in = fb.cmpi(CmpPred::Ge, idx[axis], wlo[axis]);
-        let left = idx.clone();
-        let flux_l = flux.clone();
-        emit_if(fb, left_in, move |fb| {
-            for (v, &f) in flux_l.iter().enumerate() {
-                let vc = fb.const_index(v as i64);
-                let mut full = vec![vc];
-                full.extend_from_slice(&left);
-                let cur = fb.mem_load(b, &full);
-                let nv = fb.addf(cur, f);
-                fb.mem_store(nv, b, &full);
-            }
-            Ok(())
-        })?;
-        let right_in = fb.cmpi(CmpPred::Lt, right[axis], whi[axis]);
-        emit_if(fb, right_in, move |fb| {
-            for (v, &f) in flux.iter().enumerate() {
-                let vc = fb.const_index(v as i64);
-                let mut full = vec![vc];
-                full.extend_from_slice(&right);
-                let cur = fb.mem_load(b, &full);
-                let nv = fb.subf(cur, f);
-                fb.mem_store(nv, b, &full);
-            }
-            Ok(())
-        })?;
-        return Ok(());
+        let flux = inline_region(fb, self.src, self.region, &args);
+        if matches!(cells, Cells::Left | Cells::Both) {
+            self.accumulate(fb, idx, &flux, false);
+        }
+        if matches!(cells, Cells::Right | Cells::Both) {
+            self.accumulate(fb, &right, &flux, true);
+        }
     }
-    let one = fb.const_index(1);
-    emit_for(fb, flo[depth], fhi[depth], one, |fb, iv| {
-        idx.push(iv);
-        let r = emit_face_loops(
-            fb,
-            src,
-            region,
-            x,
-            b,
-            axis,
-            nb_var,
-            flo,
-            fhi,
-            wlo,
-            whi,
-            depth + 1,
-            idx,
-        );
-        idx.pop();
-        r
-    })
+
+    /// `B[·, cell] ±= flux`, one load-add-store per variable.
+    fn accumulate(&self, fb: &mut FuncBuilder, cell: &[ValueId], flux: &[ValueId], sub: bool) {
+        for (v, &f) in flux.iter().enumerate() {
+            let vc = fb.const_index(v as i64);
+            let mut full = vec![vc];
+            full.extend_from_slice(cell);
+            let cur = fb.mem_load(self.b, &full);
+            let nv = if sub { fb.subf(cur, f) } else { fb.addf(cur, f) };
+            fb.mem_store(nv, self.b, &full);
+        }
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -1248,7 +1244,7 @@ mod tests {
         l.verify()
             .unwrap_or_else(|e| panic!("{e}\n{}", l.to_text()));
         let f = l.lookup("flux").unwrap();
-        assert!(f.body.find_first(&OpCode::If).is_some());
+        assert!(f.body.find_first(&OpCode::If).is_none());
         assert!(f.body.find_first(&OpCode::CfdFaceIterator).is_none());
     }
 }

@@ -142,9 +142,9 @@ struct FnCompiler<'m> {
     num_b: u32,
     num_a: u32,
     /// Loops that were eligible for run specialization but declined:
-    /// `(body tape index, reason)`. "Nested control flow" declines are
-    /// not recorded — every non-innermost loop of a nest declines that
-    /// way by construction, so they carry no signal.
+    /// `(body tape index, reason)`. [`runspec::NESTED_LOOP`] declines
+    /// are not recorded — every non-innermost loop of a nest declines
+    /// that way by construction, so they carry no signal.
     runspec_declines: Vec<(u32, &'static str)>,
     /// Integer registers proven to hold a compile-time constant:
     /// `ConstI` destinations. Registers are allocated one per SSA value
@@ -656,7 +656,7 @@ impl FnCompiler<'_> {
                             Some(Box::new(runspec::RunSpec { slot, ..spec }))
                         }
                         Err(reason) => {
-                            if reason != "nested control flow" {
+                            if reason != runspec::NESTED_LOOP {
                                 self.runspec_declines.push((body_tape, reason));
                             }
                             None

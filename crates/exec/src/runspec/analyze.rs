@@ -99,13 +99,17 @@ fn probe_upward_reads(code: &[ProbeOp]) -> Vec<u32> {
     reads
 }
 
+/// The decline reason of a loop whose body holds another loop: an outer
+/// loop of a nest, which declines by construction and is not reported.
+pub(crate) const NESTED_LOOP: &str = "nested loop";
+
 /// Recognizes a specializable innermost loop body and builds its
 /// [`RunSpec`]. Declines — with a reason suitable for a
 /// `runspec-decline` observability event — when the body uses anything
-/// outside the straight-line stencil subset: nested control flow,
-/// vector ops, comparisons/selects, allocation, view construction,
-/// float-typed induction values, or index arithmetic that is not
-/// affine in `iv`.
+/// outside the straight-line stencil subset: a nested loop
+/// ([`NESTED_LOOP`]), an `scf.if` ("guarded body"), vector selects,
+/// comparisons/selects, allocation, view construction, float-typed
+/// induction values, or index arithmetic that is not affine in `iv`.
 ///
 /// Affinity tracking: integer registers are *linear* (affine in `iv`)
 /// or *invariant*. `iv` is linear; registers defined outside the body
@@ -127,14 +131,19 @@ pub(crate) fn analyze(
     // holds: an outer tile loop clamps its bounds (min/max on the
     // induction value) *before* its nested `For` appears on the tape,
     // and blaming the clamp would misname every outer loop of a nest
-    // as a non-affine-arithmetic decline.
+    // as a non-affine-arithmetic decline. A nested loop makes this an
+    // outer loop; a guard in a loop without one is an innermost loop
+    // that the rung cannot serve.
     if tape.code.iter().any(|i| {
         matches!(
             i,
-            Instr::For { .. } | Instr::If { .. } | Instr::ParallelLoop { .. } | Instr::Wavefronts { .. }
+            Instr::For { .. } | Instr::ParallelLoop { .. } | Instr::Wavefronts { .. }
         )
     }) {
-        return Err("nested control flow");
+        return Err(NESTED_LOOP);
+    }
+    if tape.code.iter().any(|i| matches!(i, Instr::If { .. })) {
+        return Err("guarded body");
     }
     let mut probe_code: Vec<ProbeOp> = Vec::new();
     let mut probe_iv_code: Vec<ProbeOp> = Vec::new();
@@ -499,7 +508,7 @@ pub(crate) fn analyze(
             Instr::For { .. }
             | Instr::If { .. }
             | Instr::ParallelLoop { .. }
-            | Instr::Wavefronts { .. } => return Err("nested control flow"),
+            | Instr::Wavefronts { .. } => unreachable!("control flow is classified up front"),
             Instr::CmpI { .. } | Instr::CmpF { .. } | Instr::SelF { .. } | Instr::SelI { .. } => {
                 return Err("compare/select in body")
             }

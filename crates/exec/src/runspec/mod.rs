@@ -38,7 +38,7 @@ mod analyze;
 pub(crate) mod exec;
 pub(crate) mod plan;
 
-pub(crate) use analyze::{analyze, analyze_nest};
+pub(crate) use analyze::{analyze, analyze_nest, NESTED_LOOP};
 
 use crate::bytecode::{FOp, FUn, IOp};
 

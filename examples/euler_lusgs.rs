@@ -36,7 +36,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .vectorize(Some(8));
     let compiled = compile(&module, &opts)?;
     println!(
-        "compiled: {} structured ops vectorized, {} scalar (face iterators stay scalar)",
+        "compiled: {} structured ops vectorized, {} scalar (face iterators stay scalar but run-specialized)",
         compiled.stats.vectorized, compiled.stats.scalar
     );
 

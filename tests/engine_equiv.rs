@@ -29,10 +29,11 @@
 //! fallback of the run-specialized path.
 
 use instencil::exec::{BcOptions, ExecStats};
-use instencil::ir::{OpCode, ValueId};
+use instencil::ir::{CmpPred, OpCode, ValueId};
 use instencil::prelude::*;
 use instencil::solvers::euler::NV;
-use instencil::solvers::euler_codegen::euler_lusgs_module;
+use instencil::solvers::euler_codegen::{euler_lusgs_module, euler_lusgs_sweep_module};
+use instencil::solvers::gauss_seidel::sor_optimal_omega;
 use instencil::solvers::lusgs::vortex_initial;
 
 const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
@@ -932,4 +933,161 @@ fn out_of_range_row_nest_panics_like_the_per_row_path() {
     let nest = run(false);
     assert_eq!(nest, "index [4, 0] out of bounds (dim 0: valid [0, 4))");
     assert_eq!(nest, run(true));
+}
+
+/// Number of `op` ops in every function of `module`.
+fn count_ops(module: &Module, op: OpCode) -> usize {
+    let mut n = 0;
+    for f in module.funcs() {
+        f.body.walk(|o| n += usize::from(f.body.op(o).opcode == op));
+    }
+    n
+}
+
+/// The `runspec-decline` events of `module` compiled for the
+/// run-specialized engine.
+fn decline_events(module: &Module) -> Vec<String> {
+    let obs = Obs::new(ObsLevel::Summary);
+    BytecodeEngine::compile_with_obs(module, 1, obs.clone()).unwrap();
+    obs.report()
+        .events
+        .into_iter()
+        .filter(|e| e.name == "runspec-decline")
+        .map(|e| e.detail)
+        .collect()
+}
+
+/// An innermost loop with an `scf.if` in its body cannot be served by
+/// the run-specialized rung, and says so: exactly one `runspec-decline`
+/// naming the guard. Its outer loop declines silently, as every outer
+/// loop of a nest does.
+#[test]
+fn guarded_innermost_loop_is_reported() {
+    let mut module = Module::new("guarded");
+    let m2 = Type::memref_dyn(Type::F64, 2);
+    let mut fb = FuncBuilder::new("f", vec![m2], vec![]);
+    let u = fb.arg(0);
+    let (c0, c1, c2) = (fb.const_index(0), fb.const_index(1), fb.const_index(2));
+    let (rows, cols) = (fb.mem_dim(u, 0), fb.mem_dim(u, 1));
+    fb.build_for(c0, rows, c1, vec![], |fb, i, _| {
+        fb.build_for(c0, cols, c1, vec![], |fb, j, _| {
+            let inside = fb.cmpi(CmpPred::Ge, j, c2);
+            fb.build_if(
+                inside,
+                vec![],
+                |fb| {
+                    let v = fb.mem_load(u, &[i, j]);
+                    let w = fb.addf(v, v);
+                    fb.mem_store(w, u, &[i, j]);
+                    vec![]
+                },
+                |_| vec![],
+            );
+            vec![]
+        });
+        vec![]
+    });
+    fb.ret(vec![]);
+    module.push_func(fb.finish());
+    module.verify().unwrap();
+    let events = decline_events(&module);
+    assert_eq!(events.len(), 1, "{events:?}");
+    assert!(events[0].ends_with(": guarded body"), "{events:?}");
+}
+
+/// The configurations of the canonical IR golden table
+/// (`crates/core/tests/canonical_golden.rs`): the benchmark's kernels at
+/// their profile geometry × {scalar, vf4, vf8} × fuse on/off, plus the
+/// production geometry of `gs5_stream`, `heat3d_fused` and
+/// `sor_solve_small`.
+fn golden_configs() -> Vec<(String, Module, PipelineOptions)> {
+    let sor = || kernels::sor_module(sor_optimal_omega(63));
+    let flat = (vec![16, 32], vec![8, 32]);
+    let euler = (vec![4, 4, 8], vec![2, 2, 8]);
+    let profile = [
+        ("gs5", kernels::gauss_seidel_5pt_module(), flat.clone()),
+        ("gs9", kernels::gauss_seidel_9pt_module(), (vec![1, 32], vec![1, 32])),
+        ("gs9o2", kernels::gauss_seidel_9pt_order2_module(), flat.clone()),
+        ("heat3d", kernels::heat3d_module(), (vec![4, 6, 16], vec![2, 3, 16])),
+        ("sor", sor(), flat.clone()),
+        ("jacobi5", kernels::jacobi_5pt_module(), flat),
+        ("euler_lusgs", euler_lusgs_module(0.05), euler.clone()),
+        ("euler_lusgs_sweep", euler_lusgs_sweep_module(0.05), euler),
+    ];
+    let mut out = Vec::new();
+    for (name, module, (sub, tile)) in profile {
+        for fuse in [false, true] {
+            for vf in [None, Some(4), Some(8)] {
+                let opts = PipelineOptions::new(sub.clone(), tile.clone())
+                    .fuse(fuse)
+                    .vectorize(vf);
+                out.push((format!("{name} fuse={fuse} vf={vf:?}"), module.clone(), opts));
+            }
+        }
+    }
+    out.push((
+        "gs5_stream".into(),
+        kernels::gauss_seidel_5pt_module(),
+        PipelineOptions::new(vec![128, 512], vec![64, 256]).vectorize(Some(8)),
+    ));
+    out.push((
+        "heat3d_fused".into(),
+        kernels::heat3d_module(),
+        PipelineOptions::tr4(vec![8, 26, 64], vec![4, 26, 64]),
+    ));
+    out.push((
+        "sor_solve_small".into(),
+        sor(),
+        PipelineOptions::tr2(vec![8, 8], vec![4, 4]),
+    ));
+    out
+}
+
+/// No benchmark configuration lowers to a guarded innermost loop.
+#[test]
+fn golden_configurations_have_no_guarded_loops() {
+    for (label, module, opts) in golden_configs() {
+        let compiled = compile(&module, &opts).unwrap_or_else(|e| panic!("{label}: {e}"));
+        assert_eq!(count_ops(&compiled.module, OpCode::If), 0, "{label}: scf.if");
+        let guarded: Vec<_> = decline_events(&compiled.module)
+            .into_iter()
+            .filter(|e| e.contains("guarded body"))
+            .collect();
+        assert!(guarded.is_empty(), "{label}: {guarded:?}");
+    }
+}
+
+/// The benchmark's Euler recipe (`lusgs_euler`: 24³ interior cells,
+/// sub-domain [4,4,8], tile [2,2,8], fuse, vf8). Its face iterators lower
+/// to guard-free loops, so their runs reach the run-specialized rung:
+/// one eager `euler_step` at 1 worker reproduces the interpreter's bits
+/// and counters and makes thousands of plan look-ups. The pinned
+/// short-run count is the one-face x-boundary runs (3 456) on top of the
+/// sweeps' vf8 runs (12 096).
+#[test]
+fn lusgs_face_loops_reach_the_run_rung() {
+    let n = 26usize;
+    let shape = [NV, n, n, n];
+    let opts = PipelineOptions::new(vec![4, 4, 8], vec![2, 2, 8])
+        .fuse(true)
+        .vectorize(Some(8));
+    let compiled = compile(&euler_lusgs_module(0.05), &opts).expect("euler compiles");
+    assert_eq!(count_ops(&compiled.module, OpCode::If), 0, "scf.if ops");
+    let fresh = || {
+        let w = BufferView::from_data(&shape, vortex_initial(n).data().to_vec());
+        vec![w, BufferView::alloc(&shape), BufferView::alloc(&shape)]
+    };
+    let expect = fresh();
+    let stats_i = interpret(&compiled.module, "euler_step", &as_args(&expect), 1);
+    let obs = Obs::new(ObsLevel::Summary);
+    let mut eng = BytecodeEngine::compile_with_obs(&compiled.module, 1, obs.clone()).unwrap();
+    let got = fresh();
+    eng.call("euler_step", as_args(&got)).unwrap();
+    for (i, (e, g)) in expect.iter().zip(&got).enumerate() {
+        assert_bits_equal(&e.to_vec(), &g.to_vec(), &format!("euler_step buffer {i}"));
+    }
+    assert_eq!(stats_i, eng.stats, "engines must count identically");
+    let (look_ups, short) = run_counts(&obs);
+    assert!(look_ups >= 5_000, "{look_ups} plan look-ups");
+    assert_eq!(short, 15_552, "short-run points");
 }
